@@ -15,6 +15,7 @@ use crate::gpu::{GpuEngine, Tuning};
 use crate::metrics::{ExecKey, ExecMetrics};
 use crate::network::{LayerReport, Network};
 use crate::plan::{BackendKind, ExecutionPlan, LayerPlan, NodePlan, PlanAlgo, PlanOp};
+use std::borrow::Cow;
 use std::sync::Arc;
 use lowbit_qnn::{quantize_f32, Quantizer};
 use lowbit_tensor::{Layout, QTensor, Tensor};
@@ -403,6 +404,9 @@ impl Executor {
                     let _span = tracer.span("requantize", MAIN_TRACK);
                     lowbit_qnn::requantize(&acc, &rq)
                 };
+                // The i32 accumulator is four times the size of `q`: free it
+                // before the residual add allocates its result.
+                drop(acc);
                 if let Some(r) = fused_add {
                     let residual = slots[r].as_ref().expect("verified dataflow");
                     q = add_clamped(&q, residual);
@@ -635,8 +639,7 @@ impl Executor {
 /// two must stay the same expression for fused plans to be bit-exact
 /// against unfused references.
 fn add_clamped(a: &QTensor, b: &QTensor) -> QTensor {
-    let a_n = if a.layout() == Layout::Nchw { a.clone() } else { a.to_layout(Layout::Nchw) };
-    let b_n = if b.layout() == Layout::Nchw { b.clone() } else { b.to_layout(Layout::Nchw) };
+    let (a_n, b_n) = (nchw(a), nchw(b));
     let bits = a_n.bits();
     let (lo, hi) = (bits.qmin() as i32, bits.qmax() as i32);
     let data: Vec<i8> = a_n
@@ -646,6 +649,16 @@ fn add_clamped(a: &QTensor, b: &QTensor) -> QTensor {
         .map(|(&x, &y)| (x as i32 + y as i32).clamp(lo, hi) as i8)
         .collect();
     QTensor::new(Tensor::from_vec(a_n.dims(), Layout::Nchw, data), bits, 1.0)
+}
+
+/// `t` in NCHW layout, borrowed when it already is (no copy on the common
+/// path).
+fn nchw(t: &QTensor) -> Cow<'_, QTensor> {
+    if t.layout() == Layout::Nchw {
+        Cow::Borrowed(t)
+    } else {
+        Cow::Owned(t.to_layout(Layout::Nchw))
+    }
 }
 
 /// Concatenates quantized tensors along the channel axis in NCHW.

@@ -2,15 +2,26 @@
 //!
 //! Each micro-kernel exists in **three consistent forms**:
 //!
-//! 1. [`run_tile`] — a fast functional implementation with the exact lane
-//!    semantics of the NEON instructions (wrapping i8/i16 accumulation),
-//!    used at full layer scale;
+//! 1. [`run_tile`] — a functional implementation with the exact lane
+//!    semantics of the NEON instructions (wrapping i8/i16 accumulation at
+//!    the published drain ratios): the lane-exact oracle;
 //! 2. [`tile_counts`] — analytic instruction counts for the same shape, fed to
 //!    the cost model;
 //! 3. [`emit_tile`] — the actual instruction stream for the `neon-sim`
 //!    interpreter, used by tests to prove (1) and (2) faithful: the
 //!    interpreted output must equal the functional output, and the
 //!    interpreter's instruction counters must equal the analytic counts.
+//!
+//! The parallel GEMM driver (`crate::parallel`, which runs the ARM engine's
+//! 16x4 and 8x4 im2col GEMMs) runs (1)'s MLA arithmetic at the MLA widths
+//! (W2, W3), one call per K block. At the SMLAL widths (W4-W8) its worker
+//! runs a proof-licensed i16 block kernel instead
+//! (`crate::parallel::proven_run`): since every operand lies in its
+//! `BitWidth` range, i16 partials stay exact for `i16::MAX / max|a·b|`
+//! steps (511 at W4, 2 at W8), so that kernel drains that rarely and
+//! still matches (1) bit for bit. The serial [`crate::gemm::gemm`] /
+//! `gemm_narrow`, and with them Winograd's per-position GEMMs, execute (1)
+//! at layer scale. The modeled numbers come from (2) on every path.
 //!
 //! Register allocation follows the paper:
 //!
@@ -37,42 +48,6 @@ pub const TILE_LEN: usize = NA * NB;
 /// Elements in the ncnn-like 8x4 result tile.
 pub const NCNN_TILE_LEN: usize = NCNN_NA * NB;
 
-/// K-loop operand source for one 16x4 micro-tile.
-///
-/// The micro-kernels only ever read one 16-row A column and one 4-col B row
-/// per K step; abstracting those two reads lets the same drain-exact kernel
-/// run against whole packed matrices ([`PackedPairOps`]) or against the
-/// per-thread cache-blocked B panels of the parallel driver.
-pub trait TileOperands {
-    /// Number of K steps this operand view covers.
-    fn k_len(&self) -> usize;
-    /// The packed A rows for K step `step` (`NA` bytes, or `NA8` for the
-    /// narrow tile).
-    fn a_slice(&self, step: usize) -> &[i8];
-    /// The 4 packed B columns for K step `step` (`NB` bytes).
-    fn b_slice(&self, step: usize) -> &[i8];
-}
-
-/// [`TileOperands`] over a full packed A/B pair, as used by the serial GEMM.
-pub struct PackedPairOps<'a> {
-    pub pa: &'a PackedA,
-    pub pb: &'a PackedB,
-    pub ti: usize,
-    pub tj: usize,
-}
-
-impl TileOperands for PackedPairOps<'_> {
-    fn k_len(&self) -> usize {
-        self.pa.k
-    }
-    fn a_slice(&self, step: usize) -> &[i8] {
-        self.pa.slice(self.ti, step)
-    }
-    fn b_slice(&self, step: usize) -> &[i8] {
-        self.pb.slice(self.tj, step)
-    }
-}
-
 /// Runs one 16x4 micro-tile functionally.
 ///
 /// Output layout is column-major quarters, matching the register store order
@@ -80,32 +55,30 @@ impl TileOperands for PackedPairOps<'_> {
 pub fn run_tile(scheme: &Scheme, pa: &PackedA, pb: &PackedB, ti: usize, tj: usize) -> Vec<i32> {
     assert_eq!(pa.k, pb.k, "packed operands disagree on K");
     let mut acc32 = [0i32; TILE_LEN];
-    accumulate_tile(scheme, &PackedPairOps { pa, pb, ti, tj }, &mut acc32);
+    match scheme.kind() {
+        SchemeKind::Smlal8 => accumulate_smlal(scheme, pa, pb, ti, tj, &mut acc32),
+        SchemeKind::Mla => {
+            let a = &pa.data[ti * pa.k * NA..][..pa.k * NA];
+            accumulate_mla(scheme, a, &pb.data[tj * pb.k * NB..][..pb.k * NB], &mut acc32)
+        }
+        SchemeKind::Ncnn16 => panic!("Ncnn16 uses run_tile_ncnn on widened operands"),
+    }
     acc32.to_vec()
 }
 
-/// Runs one 16x4 micro-tile over `ops`, adding into `acc32`.
-///
-/// Drain cadence is relative to the start of this call, so splitting K into
-/// blocks and accumulating block partials is bit-exact versus one full-K run:
-/// within the published ratios every i8/i16 partial is exact, hence every
-/// i32 block partial is the exact sub-sum and i32 addition is associative.
-pub fn accumulate_tile<O: TileOperands>(scheme: &Scheme, ops: &O, acc32: &mut [i32; TILE_LEN]) {
-    match scheme.kind() {
-        SchemeKind::Smlal8 => accumulate_smlal(scheme, ops, acc32),
-        SchemeKind::Mla => accumulate_mla(scheme, ops, acc32),
-        SchemeKind::Ncnn16 => panic!("Ncnn16 uses run_tile_ncnn on widened operands"),
-    }
-}
-
-fn accumulate_smlal<O: TileOperands>(scheme: &Scheme, ops: &O, acc32: &mut [i32; TILE_LEN]) {
-    let k = ops.k_len();
+fn accumulate_smlal(
+    scheme: &Scheme,
+    pa: &PackedA,
+    pb: &PackedB,
+    ti: usize,
+    tj: usize,
+    acc32: &mut [i32; TILE_LEN],
+) {
     let ratio = scheme.ratio();
     let mut acc16 = [0i16; TILE_LEN];
     let mut since_flush = 0usize;
-    for kk in 0..k {
-        let a = ops.a_slice(kk);
-        let b = ops.b_slice(kk);
+    for kk in 0..pa.k {
+        let (a, b) = (pa.slice(ti, kk), pb.slice(tj, kk));
         for c in 0..NB {
             let bv = b[c] as i16;
             let col = &mut acc16[c * NA..(c + 1) * NA];
@@ -125,41 +98,47 @@ fn accumulate_smlal<O: TileOperands>(scheme: &Scheme, ops: &O, acc32: &mut [i32;
     }
 }
 
-fn accumulate_mla<O: TileOperands>(scheme: &Scheme, ops: &O, acc32: &mut [i32; TILE_LEN]) {
-    let k = ops.k_len();
+/// The MLA + SADDW lane arithmetic over one tile's contiguous operand runs:
+/// `a` holds `k` steps of [`NA`] packed-A rows, `b` the matching `k` steps
+/// of [`NB`] packed-B columns. i8 lanes take one wrapping product per step
+/// for `scheme.ratio()` steps and widen into i16 lanes, which widen into
+/// `acc32` after `scheme.ratio2()` such drains; both counts run from the
+/// start of `a`. The scheme derives the ratios from the operand bound (31
+/// and 264 at W2), so no lane wraps for in-range operands.
+///
+/// [`run_tile`] runs it over whole packed operands; the parallel worker
+/// runs it over each K block at the MLA widths. It stays out of line: the
+/// worker's timings behind that choice (see `crate::parallel`) are of this
+/// stand-alone code, and inlining changes how the compiler vectorizes it.
+#[inline(never)]
+pub(crate) fn accumulate_mla(scheme: &Scheme, a: &[i8], b: &[i8], acc32: &mut [i32; TILE_LEN]) {
+    debug_assert_eq!(a.len() / NA, b.len() / NB);
     let (r1, r2) = (scheme.ratio(), scheme.ratio2());
-    let mut acc16 = [0i16; TILE_LEN];
-    let mut acc8 = [0i8; TILE_LEN];
-    let mut since8 = 0usize;
-    let mut drains8 = 0usize;
-    for kk in 0..k {
-        let a = ops.a_slice(kk);
-        let b = ops.b_slice(kk);
-        for c in 0..NB {
-            let bv = b[c];
-            let col = &mut acc8[c * NA..(c + 1) * NA];
-            for (acc, &av) in col.iter_mut().zip(a) {
-                // MLA: non-widening i8 multiply-accumulate, both wrapping.
-                *acc = acc.wrapping_add(av.wrapping_mul(bv));
+    let (a_steps, _) = a.as_chunks::<NA>();
+    let (b_steps, _) = b.as_chunks::<NB>();
+    let per16 = r1.saturating_mul(r2);
+    for (a16, b16) in a_steps.chunks(per16).zip(b_steps.chunks(per16)) {
+        let mut acc16 = [0i16; TILE_LEN];
+        for (a8, b8) in a16.chunks(r1).zip(b16.chunks(r1)) {
+            let mut acc8 = [0i8; TILE_LEN];
+            for (av, bv) in a8.iter().zip(b8) {
+                for c in 0..NB {
+                    let y = bv[c];
+                    for (acc, &x) in acc8[c * NA..(c + 1) * NA].iter_mut().zip(av) {
+                        // MLA: non-widening i8 multiply-accumulate, both wrapping.
+                        *acc = acc.wrapping_add(x.wrapping_mul(y));
+                    }
+                }
+            }
+            // SADDW: i8 partials into i16.
+            for (h, &l) in acc16.iter_mut().zip(&acc8) {
+                *h = h.wrapping_add(i16::from(l));
             }
         }
-        since8 += 1;
-        if since8 == r1 {
-            drain8(&mut acc16, &mut acc8);
-            since8 = 0;
-            drains8 += 1;
-            if drains8 == r2 {
-                drain16(acc32, &mut acc16);
-                drains8 = 0;
-            }
+        // SADDW: i16 partials into i32.
+        for (w, &h) in acc32.iter_mut().zip(&acc16) {
+            *w = w.wrapping_add(i32::from(h));
         }
-    }
-    if since8 > 0 {
-        drain8(&mut acc16, &mut acc8);
-        drains8 += 1;
-    }
-    if drains8 > 0 {
-        drain16(acc32, &mut acc16);
     }
 }
 
@@ -168,14 +147,6 @@ fn drain16(acc32: &mut [i32; TILE_LEN], acc16: &mut [i16; TILE_LEN]) {
     for (w, n) in acc32.iter_mut().zip(acc16.iter_mut()) {
         *w = w.wrapping_add(*n as i32);
         *n = 0;
-    }
-}
-
-/// SADDW level: i8 partials into i16, then clear.
-fn drain8(acc16: &mut [i16; TILE_LEN], acc8: &mut [i8; TILE_LEN]) {
-    for (h, b) in acc16.iter_mut().zip(acc8.iter_mut()) {
-        *h = h.wrapping_add(*b as i16);
-        *b = 0;
     }
 }
 

@@ -16,7 +16,6 @@
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 
-use crate::micro::TileOperands;
 use crate::pack::{PackedB, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use neon_sim::inst::{Half, Inst};
@@ -77,26 +76,6 @@ pub fn pack_a_narrow(a: &[i8], m: usize, k: usize) -> PackedANarrow {
     PackedANarrow { m, m_pad, k, data }
 }
 
-/// [`TileOperands`] over a narrow packed A and a full packed B.
-pub struct NarrowPairOps<'a> {
-    pub pa: &'a PackedANarrow,
-    pub pb: &'a PackedB,
-    pub ti: usize,
-    pub tj: usize,
-}
-
-impl TileOperands for NarrowPairOps<'_> {
-    fn k_len(&self) -> usize {
-        self.pa.k
-    }
-    fn a_slice(&self, step: usize) -> &[i8] {
-        self.pa.slice(self.ti, step)
-    }
-    fn b_slice(&self, step: usize) -> &[i8] {
-        self.pb.slice(self.tj, step)
-    }
-}
-
 /// Runs one narrow 8x4 tile functionally (`SMLAL` scheme only).
 ///
 /// Output layout: `out[col * 8 + row]`.
@@ -108,26 +87,13 @@ pub fn run_tile_narrow(
     tj: usize,
 ) -> Vec<i32> {
     assert_eq!(pa.k, pb.k);
-    let mut acc32 = [0i32; NARROW_TILE_LEN];
-    accumulate_tile_narrow(scheme, &NarrowPairOps { pa, pb, ti, tj }, &mut acc32);
-    acc32.to_vec()
-}
-
-/// Runs one narrow 8x4 tile over `ops`, adding into `acc32` (same K-blocking
-/// exactness argument as [`crate::micro::accumulate_tile`]).
-pub fn accumulate_tile_narrow<O: TileOperands>(
-    scheme: &Scheme,
-    ops: &O,
-    acc32: &mut [i32; NARROW_TILE_LEN],
-) {
     assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
-    let k = ops.k_len();
+    let mut acc32 = [0i32; NARROW_TILE_LEN];
     let ratio = scheme.ratio();
     let mut acc16 = [0i16; NARROW_TILE_LEN];
     let mut since = 0usize;
-    for kk in 0..k {
-        let a = ops.a_slice(kk);
-        let b = ops.b_slice(kk);
+    for kk in 0..pa.k {
+        let (a, b) = (pa.slice(ti, kk), pb.slice(tj, kk));
         for c in 0..NB {
             let bv = b[c] as i16;
             let col = &mut acc16[c * NA8..(c + 1) * NA8];
@@ -137,13 +103,14 @@ pub fn accumulate_tile_narrow<O: TileOperands>(
         }
         since += 1;
         if since == ratio {
-            drain(acc32, &mut acc16);
+            drain(&mut acc32, &mut acc16);
             since = 0;
         }
     }
     if since > 0 {
-        drain(acc32, &mut acc16);
+        drain(&mut acc32, &mut acc16);
     }
+    acc32.to_vec()
 }
 
 fn drain(acc32: &mut [i32; NARROW_TILE_LEN], acc16: &mut [i16; NARROW_TILE_LEN]) {

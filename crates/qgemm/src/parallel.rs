@@ -8,15 +8,23 @@
 //! atomics, no locks and no `unsafe` — and the output is bit-exact versus
 //! the serial path for every thread count and blocking parameter.
 //!
-//! Why bit-exactness holds under K-blocking: within the published drain
-//! ratios every i8/i16 partial is exact, so each K-block contributes the
-//! exact i32 sub-sum and i32 addition of exact sub-sums is associative.
-//! The property tests in `tests/proptest_invariants.rs` enforce this over
-//! random shapes, bit widths, thread counts and block sizes.
+//! At the SMLAL widths (W4-W8) every tile of a K block runs on the
+//! proof-licensed block kernel, which keeps i16 partials for as many steps
+//! as the scheme's operand bound allows (see [`proven_run`]: 511 at W4, 2
+//! at W8). The lane-exact `micro::run_tile` / `narrow::run_tile_narrow` are
+//! the oracles it is tested against. The MLA widths (W2, W3) run the
+//! paper's i8 MLA + SADDW arithmetic, `micro::accumulate_mla`, over the
+//! K block; `worker` says why.
+//!
+//! Why bit-exactness holds under K-blocking: every partial is exact within
+//! its licensed run, so each K-block contributes the exact i32 sub-sum and
+//! i32 addition of exact sub-sums is associative. The property tests in
+//! `tests/proptest_invariants.rs` enforce this over random shapes, bit
+//! widths, thread counts and block sizes.
 
 use crate::gemm::{schedule_gemm, GemmOutput};
-use crate::micro::{accumulate_tile, TileOperands, TILE_LEN};
-use crate::narrow::{accumulate_tile_narrow, PackedANarrow, NARROW_TILE_LEN, NA8};
+use crate::micro::{accumulate_mla, TILE_LEN};
+use crate::narrow::{PackedANarrow, NARROW_TILE_LEN, NA8};
 use crate::pack::{pack_a, PackedA, NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::workspace::GemmWorkspace;
@@ -274,6 +282,18 @@ fn worker_track(tracer: &Tracer, span: &ColumnSpan) -> u32 {
 
 /// One thread's share: columns `[span.col0, span.end())`, written
 /// column-major into the thread-local slice `c` (`c[(j - col0) * m + i]`).
+///
+/// The MLA widths (W2, W3) run `micro::accumulate_mla`, not the faster
+/// i16 [`accumulate_block`], which is exact there too. On an idle core the
+/// i16 kernel takes 1.9 ms of `gemm tile` time per run of the W2 ResNet-50
+/// projection block at 14x14 against ~9 ms (x86-64 Xeon, one thread,
+/// baseline SSE2 with no i8 multiply). On a shared 2-vCPU host, though,
+/// its time follows co-tenants' load much less than i8 multiply-accumulate
+/// code does: the block's host time rose 1.45x while an i8 MLA probe
+/// slowed 1.9x, against 2.1x for 2.1x with the i8 form. Per-run block
+/// throughput scaled by such a probe then spread 8.7% of its median with
+/// the i16 kernel and 3.1% with the i8 form, so only the i8 form gives
+/// W2 host timings that can be compared between runs on such hosts.
 #[allow(clippy::too_many_arguments)]
 fn worker(
     scheme: &Scheme,
@@ -294,6 +314,7 @@ fn worker(
     let k = weights.k();
     debug_assert_eq!(c.len(), cols * m);
     let a_tiles = weights.tiles();
+    let run = proven_run(scheme);
     let local_tiles = cols.div_ceil(NB);
     let nc_tiles = cfg.nc / NB;
     let mut jt0 = 0usize;
@@ -311,19 +332,23 @@ fn worker(
             tile_span.set_label(|| format!("jt [{jt0}..{jt1}) k0 {k0}"));
             for jt in jt0..jt1 {
                 let panel_base = (jt - jt0) * klen * NB;
+                let b_run = &panel[panel_base..panel_base + klen * NB];
                 for ti in 0..a_tiles {
                     match weights {
                         SharedWeights::Wide(pa) => {
-                            let ops = PanelOps { a: WideA { pa, ti, k0 }, panel, panel_base, klen };
+                            let a_run = &pa.data[(ti * k + k0) * NA..][..klen * NA];
                             let mut acc = [0i32; TILE_LEN];
-                            accumulate_tile(scheme, &ops, &mut acc);
+                            if scheme.kind() == SchemeKind::Mla {
+                                accumulate_mla(scheme, a_run, b_run, &mut acc);
+                            } else {
+                                accumulate_block::<NA, NB>(a_run, b_run, run, &mut acc);
+                            }
                             add_scatter(c, &acc, m, cols, jt, ti, NA);
                         }
                         SharedWeights::Narrow(pa) => {
-                            let ops =
-                                PanelOps { a: NarrowA { pa, ti, k0 }, panel, panel_base, klen };
+                            let a_run = &pa.data[(ti * k + k0) * NA8..][..klen * NA8];
                             let mut acc = [0i32; NARROW_TILE_LEN];
-                            accumulate_tile_narrow(scheme, &ops, &mut acc);
+                            accumulate_block::<NA8, { 2 * NB }>(a_run, b_run, run, &mut acc);
                             add_scatter(c, &acc, m, cols, jt, ti, NA8);
                         }
                     }
@@ -332,6 +357,77 @@ fn worker(
             k0 += klen;
         }
         jt0 = jt1;
+    }
+}
+
+/// Longest run of K steps whose i16 partial sums cannot wrap:
+/// `i16::MAX / max|a·b|` (8191 at W2, 511 at W4, 2 at W8).
+///
+/// The licence chain: `QTensor::new` asserts every operand lies inside its
+/// `BitWidth` range, im2col adds only zero padding, and the engine resolves
+/// `scheme` from the wider of the two operand widths, so every product obeys
+/// `|a·b| <= scheme.max_product()`. A partial summed over at most `run`
+/// steps then obeys `|partial| <= run · max_product <= i16::MAX`: it is the
+/// exact integer sum, and so is its widening into i32.
+pub fn proven_run(scheme: &Scheme) -> usize {
+    (i16::MAX as i32 / scheme.max_product()) as usize
+}
+
+/// i16 lanes the block kernel accumulates per output column: one K step of
+/// the 16-row layout, or two consecutive K steps of the 8-row one.
+const LANES: usize = 16;
+
+/// The proof-licensed block kernel: one `ROWS x NB` micro-tile over a whole
+/// K block, adding into the column-major `acc32` (`acc32[c * ROWS + r]`).
+///
+/// `a` is the contiguous packed-A run (`klen` steps of `ROWS` rows), `b` the
+/// matching panel run (`klen` steps of [`NB`] columns). A group of
+/// `LANES / ROWS` consecutive steps fills one 16-lane i16 vector per column,
+/// lane `l` holding row `l % ROWS` of step `l / ROWS`, so both layouts run
+/// the same 16-lane multiply-add. Each lane takes one product per group; after
+/// `run` groups (see [`proven_run`]) the lanes widen into i32. No lane sums
+/// more than `run` in-range products, so for in-range operands the result
+/// equals the lane-exact kernels and [`crate::gemm::reference_gemm`] bit for
+/// bit; only the drain cadence differs.
+///
+/// Even at W8, where `run` is 2, it is no slower than the lane-emulating
+/// loops it replaced (x86-64 Xeon, one thread): 3.5-7 ms against 20-30 ms on
+/// a 256x576x196 GEMM in the 16-row layout, and 12.6 against 12.3 ms of
+/// `gemm tile` per run of the W8 dense block in the 8-row one.
+fn accumulate_block<const ROWS: usize, const GROUP_B: usize>(
+    a: &[i8],
+    b: &[i8],
+    run: usize,
+    acc32: &mut [i32],
+) {
+    debug_assert_eq!(GROUP_B, LANES / ROWS * NB);
+    debug_assert_eq!(a.len() / ROWS, b.len() / NB);
+    debug_assert_eq!(acc32.len(), ROWS * NB);
+    let (a_groups, a_tail) = a.as_chunks::<LANES>();
+    let (b_groups, b_tail) = b.as_chunks::<GROUP_B>();
+    for (a_run, b_run) in a_groups.chunks(run).zip(b_groups.chunks(run)) {
+        let mut acc16 = [[0i16; LANES]; NB];
+        for (av, bv) in a_run.iter().zip(b_run) {
+            let a16 = av.map(i16::from);
+            for (c, col) in acc16.iter_mut().enumerate() {
+                let bc: [i16; LANES] = std::array::from_fn(|l| i16::from(bv[l / ROWS * NB + c]));
+                for ((acc, &x), &y) in col.iter_mut().zip(&a16).zip(&bc) {
+                    *acc = acc.wrapping_add(x * y);
+                }
+            }
+        }
+        for (c, col) in acc16.iter().enumerate() {
+            for (l, &p) in col.iter().enumerate() {
+                let w = &mut acc32[c * ROWS + l % ROWS];
+                *w = w.wrapping_add(i32::from(p));
+            }
+        }
+    }
+    // An odd step left over by the 8-row layout: one exact i32 product each.
+    for (c, &bc) in b_tail.iter().enumerate() {
+        for (w, &x) in acc32[c * ROWS..(c + 1) * ROWS].iter_mut().zip(a_tail) {
+            *w = w.wrapping_add(i32::from(x) * i32::from(bc));
+        }
     }
 }
 
@@ -357,57 +453,6 @@ fn pack_b_panel(
             let src = (k0 + step) * n + first;
             panel[dst..dst + width].copy_from_slice(&b[src..src + width]);
         }
-    }
-}
-
-/// A-tile half of the panel operand views.
-trait ATile {
-    fn slice(&self, step: usize) -> &[i8];
-}
-
-struct WideA<'a> {
-    pa: &'a PackedA,
-    ti: usize,
-    k0: usize,
-}
-
-impl ATile for WideA<'_> {
-    fn slice(&self, step: usize) -> &[i8] {
-        self.pa.slice(self.ti, self.k0 + step)
-    }
-}
-
-struct NarrowA<'a> {
-    pa: &'a PackedANarrow,
-    ti: usize,
-    k0: usize,
-}
-
-impl ATile for NarrowA<'_> {
-    fn slice(&self, step: usize) -> &[i8] {
-        self.pa.slice(self.ti, self.k0 + step)
-    }
-}
-
-/// [`TileOperands`] over one K block: A from the shared packed weights at
-/// offset `k0`, B from the thread-local panel.
-struct PanelOps<'a, A: ATile> {
-    a: A,
-    panel: &'a [i8],
-    panel_base: usize,
-    klen: usize,
-}
-
-impl<A: ATile> TileOperands for PanelOps<'_, A> {
-    fn k_len(&self) -> usize {
-        self.klen
-    }
-    fn a_slice(&self, step: usize) -> &[i8] {
-        self.a.slice(step)
-    }
-    fn b_slice(&self, step: usize) -> &[i8] {
-        let base = self.panel_base + step * NB;
-        &self.panel[base..base + NB]
     }
 }
 
@@ -467,8 +512,10 @@ pub fn gemm_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::gemm;
-    use crate::narrow::{gemm_narrow, pack_a_narrow};
+    use crate::gemm::{gemm, reference_gemm};
+    use crate::micro::run_tile;
+    use crate::narrow::{gemm_narrow, pack_a_narrow, run_tile_narrow};
+    use crate::pack::pack_b;
     use lowbit_tensor::BitWidth;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -521,6 +568,122 @@ mod tests {
             let c_cm =
                 gemm_parallel_cm(&scheme, SharedWeights::Narrow(&pa), &b, k, n, &cfg, &mut ws);
             assert_eq!(to_row_major(c_cm, m, n), serial.c, "x{threads}");
+        }
+    }
+
+    /// Worst-case operands: every product is `±bits.max_abs_product()`, and
+    /// within a column every product has the same sign, so each i16 partial
+    /// reaches `run · max_product` exactly at the licensed drain point.
+    fn worst_case_operands(bits: BitWidth, m: usize, k: usize, n: usize) -> (Vec<i8>, Vec<i8>) {
+        let v = bits.qmin(); // |qmin| is the largest magnitude in range
+        let flip = if -(v as i32) <= bits.qmax() as i32 { -v } else { v };
+        let a = vec![v; m * k];
+        let b = (0..k * n).map(|i| if (i % n).is_multiple_of(2) { v } else { flip }).collect();
+        (a, b)
+    }
+
+    /// Row-major C assembled from a lane-exact per-tile oracle.
+    fn lane_exact(
+        tile: impl Fn(usize, usize) -> Vec<i32>,
+        rows: usize,
+        m: usize,
+        n: usize,
+    ) -> Vec<i32> {
+        let mut c = vec![0i32; m * n];
+        for tj in 0..n.div_ceil(NB) {
+            for ti in 0..m.div_ceil(rows) {
+                let t = tile(ti, tj);
+                for (j, col) in (tj * NB..n).take(NB).zip(t.chunks_exact(rows)) {
+                    for (i, &v) in (ti * rows..m).zip(col) {
+                        c[i * n + j] = v;
+                    }
+                }
+            }
+        }
+        c
+    }
+
+    /// Checks `gemm_parallel_cm` on both layouts (narrow at the SMLAL
+    /// widths), one and four threads, default and one-block (`kc = K`)
+    /// blocking, against `reference_gemm` and the lane-exact tile oracles.
+    fn check_against_oracles(bits: BitWidth, a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
+        let scheme = Scheme::for_bits(bits);
+        let narrow = scheme.kind() == SchemeKind::Smlal8;
+        let want = reference_gemm(a, b, m, k, n);
+        let (pa, pb, pan) = (pack_a(a, m, k), pack_b(b, k, n), pack_a_narrow(a, m, k));
+        let oracle = lane_exact(|ti, tj| run_tile(&scheme, &pa, &pb, ti, tj), NA, m, n);
+        assert_eq!(oracle, want, "{bits} K={k}: lane-exact oracle");
+        if narrow {
+            let oracle8 =
+                lane_exact(|ti, tj| run_tile_narrow(&scheme, &pan, &pb, ti, tj), NA8, m, n);
+            assert_eq!(oracle8, want, "{bits} K={k}: narrow oracle");
+        }
+        for threads in [1, 4] {
+            for kc in [DEFAULT_KC, k] {
+                let cfg = ParallelConfig { threads, kc, nc: DEFAULT_NC };
+                let label = format!("{bits} K={k} x{threads} kc={kc}");
+                let mut ws = GemmWorkspace::new();
+                let weights = SharedWeights::Wide(&pa);
+                let got = gemm_parallel_cm(&scheme, weights, b, k, n, &cfg, &mut ws);
+                assert_eq!(to_row_major(got, m, n), want, "{label}: wide");
+                if narrow {
+                    let weights = SharedWeights::Narrow(&pan);
+                    let got = gemm_parallel_cm(&scheme, weights, b, k, n, &cfg, &mut ws);
+                    assert_eq!(to_row_major(got, m, n), want, "{label}: narrow");
+                }
+            }
+        }
+    }
+
+    /// The executed path at every width (the MLA form at W2/W3, the block
+    /// kernel above): drains land before, on and after the proven run, and
+    /// on K-block boundaries (`kc + run + 1`). Worst-case operands push every partial to its
+    /// bound; random ones catch lane and offset mix-ups that constant
+    /// operands cannot show.
+    #[test]
+    fn block_kernel_is_exact_on_worst_case_operands() {
+        let (m, n) = (17, 6);
+        for bits in BitWidth::ALL {
+            let run = proven_run(&Scheme::for_bits(bits));
+            for k in [run - 1, run, run + 1, DEFAULT_KC + run + 1].into_iter().filter(|&k| k > 0) {
+                let (a, b) = worst_case_operands(bits, m, k, n);
+                assert_eq!((a[0] as i32 * b[0] as i32).abs(), bits.max_abs_product());
+                check_against_oracles(bits, &a, &b, m, k, n);
+                let seed = 300 + k as u64;
+                let (a, b) = (random_mat(m * k, bits, seed), random_mat(k * n, bits, seed + 1));
+                check_against_oracles(bits, &a, &b, m, k, n);
+            }
+        }
+    }
+
+    /// The kernel alone, tile by tile, against the lane-exact tiles at every
+    /// width, including W8 where it widens after every second step.
+    #[test]
+    fn block_kernel_matches_lane_exact_tiles_at_every_run() {
+        let (m, n) = (16, 4);
+        for bits in BitWidth::ALL {
+            let scheme = Scheme::for_bits(bits);
+            let run = proven_run(&scheme);
+            for k in [1, run, run + 1, 2 * run + 3] {
+                let random = (random_mat(m * k, bits, k as u64), random_mat(k * n, bits, 7));
+                for (a, b) in [worst_case_operands(bits, m, k, n), random] {
+                    let (pa, pb) = (pack_a(&a, m, k), pack_b(&b, k, n));
+                    let mut wide = [0i32; TILE_LEN];
+                    accumulate_block::<NA, NB>(&pa.data, &pb.data, run, &mut wide);
+                    assert_eq!(wide.to_vec(), run_tile(&scheme, &pa, &pb, 0, 0), "{bits} K={k}");
+                    if scheme.kind() != SchemeKind::Smlal8 {
+                        continue;
+                    }
+                    let pan = pack_a_narrow(&a, m, k);
+                    for ti in 0..2 {
+                        let mut acc = [0i32; NARROW_TILE_LEN];
+                        let a_run = &pan.data[ti * k * NA8..(ti + 1) * k * NA8];
+                        accumulate_block::<NA8, { 2 * NB }>(a_run, &pb.data, run, &mut acc);
+                        let want = run_tile_narrow(&scheme, &pan, &pb, ti, 0);
+                        assert_eq!(acc.to_vec(), want, "{bits} K={k} narrow tile {ti}");
+                    }
+                }
+            }
         }
     }
 

@@ -59,19 +59,22 @@ impl Value {
 
 /// Parses a complete JSON document (rejecting trailing garbage).
 pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes, for the single-byte structural checks.
     bytes: &'a [u8],
+    /// Byte offset into `text`; always on a char boundary, since the parser
+    /// only steps over ASCII bytes and whole runs of plain string content.
     pos: usize,
 }
 
@@ -133,8 +136,7 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-utf8 number".to_string())?;
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
@@ -175,13 +177,17 @@ impl Parser<'_> {
                 }
                 b if b < 0x20 => return Err(format!("raw control byte in string at {}", self.pos)),
                 _ => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "non-utf8 string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain content up to the next quote,
+                    // backslash or control byte in one slice. All three are
+                    // ASCII, so the run ends on a char boundary and every
+                    // byte is visited once.
+                    let rest = &self.text[self.pos..];
+                    let len = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(&rest[..len]);
+                    self.pos += len;
                 }
             }
         }
@@ -311,6 +317,22 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn long_multibyte_strings_round_trip() {
+        // Mixed ASCII, 2-, 3- and 4-byte UTF-8, escapes and control bytes,
+        // ~120 KB of string content: a parser that re-scanned the rest of the
+        // input per character would take seconds here.
+        let text = "ascii é 漢字 🦀 \"q\" \\ \n\t\u{1} ".repeat(4096);
+        let doc = format!(
+            "{{\"k\":\"{}\",\"u\":\"{}\"}}",
+            escape(&text),
+            "\\u00e9\\u6f22x🦀".repeat(4096)
+        );
+        let v = parse(&doc).unwrap();
+        assert_eq!(v.get("k").unwrap().as_str(), Some(text.as_str()));
+        assert_eq!(v.get("u").unwrap().as_str(), Some("é漢x🦀".repeat(4096).as_str()));
     }
 
     #[test]

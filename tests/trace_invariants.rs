@@ -8,24 +8,39 @@ use lowbit::trace::chrome::{chrome_trace_json, validate_chrome_trace};
 use lowbit::trace::SpanKind;
 use lowbit::{stage_attribution, ArmAlgo, Network};
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counting wrapper around the system allocator: lets the steady-state test
 /// prove a code path performs literally zero heap allocations.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per thread, so tests running
+    /// in parallel in this binary never count each other's allocations; the
+    /// const initialiser and the `Drop`-free `Cell` keep the access itself
+    /// allocation-free.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: AllocLayout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -219,13 +234,13 @@ fn metric_shard_recording_allocates_nothing_at_steady_state() {
     burn.set(0.5);
     shard.record(1.25);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 0..10_000u64 {
         completed.inc();
         burn.set(i as f64 / 100.0);
         shard.record(0.5 + (i % 64) as f64);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
