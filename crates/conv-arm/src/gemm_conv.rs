@@ -100,38 +100,33 @@ pub fn schedule_gemm_conv_sdot(shape: &ConvShape) -> KernelSchedule {
     sched
 }
 
-/// Reshapes the row-major `c_out x (batch*oh*ow)` GEMM result to NCHW.
+/// Reshapes the row-major `c_out x (batch*oh*ow)` GEMM result to NCHW: one
+/// contiguous `oh*ow` run per `(batch, c_out)` plane.
 pub(crate) fn matrix_to_nchw(c: &[i32], shape: &ConvShape) -> Tensor<i32> {
-    let (oh, ow) = (shape.out_h(), shape.out_w());
+    let hw = shape.out_h() * shape.out_w();
     let n = shape.gemm_n();
-    let mut acc: Tensor<i32> = Tensor::zeros((shape.batch, shape.c_out, oh, ow), Layout::Nchw);
-    for co in 0..shape.c_out {
-        for b in 0..shape.batch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let col = (b * oh + oy) * ow + ox;
-                    acc.set((b, co, oy, ox), c[co * n + col]);
-                }
-            }
-        }
+    let mut acc: Tensor<i32> =
+        Tensor::zeros((shape.batch, shape.c_out, shape.out_h(), shape.out_w()), Layout::Nchw);
+    for (i, plane) in acc.data_mut().chunks_exact_mut(hw).enumerate() {
+        let (b, co) = (i / shape.c_out, i % shape.c_out);
+        plane.copy_from_slice(&c[co * n + b * hw..][..hw]);
     }
     acc
 }
 
 /// Reshapes the **column-major** `c_out x (batch*oh*ow)` GEMM result
-/// (`c[col * c_out + row]`, as produced by the parallel driver) to NCHW.
+/// (`c[col * c_out + row]`, as produced by the parallel driver) to NCHW:
+/// each `(batch, c_out)` plane gathers one row at stride `c_out`.
 pub(crate) fn matrix_to_nchw_cm(c: &[i32], shape: &ConvShape) -> Tensor<i32> {
-    let (oh, ow) = (shape.out_h(), shape.out_w());
+    let hw = shape.out_h() * shape.out_w();
     let m = shape.gemm_m();
-    let mut acc: Tensor<i32> = Tensor::zeros((shape.batch, shape.c_out, oh, ow), Layout::Nchw);
-    for co in 0..shape.c_out {
-        for b in 0..shape.batch {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let col = (b * oh + oy) * ow + ox;
-                    acc.set((b, co, oy, ox), c[col * m + co]);
-                }
-            }
+    let mut acc: Tensor<i32> =
+        Tensor::zeros((shape.batch, shape.c_out, shape.out_h(), shape.out_w()), Layout::Nchw);
+    for (i, plane) in acc.data_mut().chunks_exact_mut(hw).enumerate() {
+        let (b, co) = (i / m, i % m);
+        let row = c[b * hw * m + co..].iter().step_by(m);
+        for (o, &v) in plane.iter_mut().zip(row) {
+            *o = v;
         }
     }
     acc

@@ -56,8 +56,7 @@ pub use winograd::{
     winograd_supported,
 };
 pub use workspace::{
-    gemm_conv_narrow_prepacked_ws, gemm_conv_narrow_prepacked_ws_traced, gemm_conv_prepacked_ws,
-    gemm_conv_prepacked_ws_traced, gemm_conv_sdot_prepacked_ws, gemm_conv_sdot_prepacked_ws_traced,
-    parallel_cycle_split, schedule_gemm_conv_narrow_prepacked, schedule_gemm_conv_prepacked,
-    schedule_gemm_conv_sdot_prepacked, ConvWorkspace,
+    gemm_conv_prepacked_ws, gemm_conv_prepacked_ws_traced, gemm_conv_sdot_prepacked_ws,
+    gemm_conv_sdot_prepacked_ws_traced, parallel_cycle_split, schedule_gemm_conv_narrow_prepacked,
+    schedule_gemm_conv_prepacked, schedule_gemm_conv_sdot_prepacked, ConvWorkspace,
 };

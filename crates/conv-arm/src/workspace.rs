@@ -4,25 +4,26 @@
 //! [`crate::PreparedConv`] showed that packing A once per layer pays off;
 //! these paths go further for the engine's steady state:
 //!
-//! * the im2col matrix, the per-thread packed-B panels and the GEMM result
-//!   live in one reusable arena — after a warm-up pass over a network's
-//!   layer shapes, repeated inference performs **zero heap allocations**
-//!   in these stages (the output tensor itself is still returned by value);
+//! * the im2col matrix (skipped for 1x1 stride-1 pad-0 batch-1 layers, whose
+//!   activation already is the GEMM's B operand), the per-thread packed-B
+//!   panels and the GEMM result live in one reusable arena — after a warm-up
+//!   pass over a network's layer shapes, repeated inference performs **zero
+//!   heap allocations** in these stages (the output tensor itself is still
+//!   returned by value);
 //! * the GEMM runs on `lowbit_qgemm::parallel` across N, bit-exact versus
 //!   the serial kernels for any thread count;
-//! * the executed and analytic schedules drop the `pack A` stage, which the
-//!   prepack cache amortizes to zero across calls.
+//! * the analytic schedules drop the `pack A` stage, which the prepack cache
+//!   amortizes to zero across calls. The conv functions return only the
+//!   accumulators; the engine attaches the schedule.
 
 use crate::gemm_conv::{
     matrix_to_nchw_cm, schedule_gemm_conv, schedule_gemm_conv_narrow, schedule_gemm_conv_sdot,
 };
-use crate::ConvOutput;
-use lowbit_qgemm::narrow::PackedANarrow;
-use lowbit_qgemm::parallel::{gemm_parallel_cm_traced, ParallelConfig, SharedWeights};
+use lowbit_qgemm::parallel::{gemm_parallel_cm_traced, ParallelConfig};
 use lowbit_qgemm::sdot::{gemm_sdot_prepacked_cm, pack_b_quads_into, PackedAQuads, PackedBQuads};
 use lowbit_qgemm::workspace::{GemmWorkspace, WorkspaceStats};
 use lowbit_qgemm::{PackedA, Scheme};
-use lowbit_tensor::{im2col_nchw_into, ConvShape, Im2colMatrix, QTensor};
+use lowbit_tensor::{im2col_nchw_into, ConvShape, Im2colMatrix, Layout, QTensor, Tensor};
 use lowbit_trace::{Tracer, MAIN_TRACK};
 use neon_sim::KernelSchedule;
 
@@ -72,11 +73,42 @@ fn check_weight_shape(pa_m: usize, pa_k: usize, shape: &ConvShape) {
     assert_eq!(pa_k, shape.gemm_k(), "packed weights disagree with shape on K");
 }
 
-/// Prepacked parallel explicit-GEMM convolution (wide 16x4 tiles).
+/// Whether the NCHW activation already is the GEMM's `K x N` B operand: a
+/// 1x1, stride-1, pad-0, batch-1 conv reads channel `c` of pixel `j` at
+/// `c * (h * w) + j`, which is row `c`, column `j` of B (the `N = 1, g = 1`
+/// case of a grouped conv-as-GEMM). Such layers skip im2col.
+fn input_is_gemm_b(shape: &ConvShape) -> bool {
+    (shape.kh, shape.kw, shape.stride, shape.pad, shape.batch) == (1, 1, 1, 0, 1)
+}
+
+/// The B operand of `shape`'s GEMM: the activation itself where
+/// [`input_is_gemm_b`], otherwise its im2col expansion into `col`.
+fn lower_b<'a>(
+    input: &'a QTensor,
+    shape: &ConvShape,
+    col: &'a mut Im2colMatrix,
+    tracer: &Tracer,
+) -> &'a [i8] {
+    if input_is_gemm_b(shape) {
+        assert_eq!(input.layout(), Layout::Nchw, "ARM path expects NCHW");
+        let dims = (1, shape.c_in, shape.h, shape.w);
+        assert_eq!(input.dims(), dims, "input dims do not match conv shape");
+        return input.data();
+    }
+    let mut span = tracer.span("im2col", MAIN_TRACK);
+    span.set_label(|| format!("{}x{}", shape.gemm_k(), shape.gemm_n()));
+    im2col_nchw_into(input, shape, col);
+    &col.data
+}
+
+/// Prepacked parallel explicit-GEMM convolution, returning the NCHW
+/// accumulators.
 ///
 /// `pa` is the layer's weight matrix packed once via
 /// `lowbit_qgemm::pack_a`; `scheme` must cover the wider of the two operand
-/// bit widths, exactly as [`crate::gemm_conv`] chooses it.
+/// bit widths, exactly as [`crate::gemm_conv`] chooses it. Layers modeled on
+/// the narrow 8x4 tile run here too: the tile is a register allocation the
+/// cost model prices, and the 16-row block kernel computes the same sums.
 pub fn gemm_conv_prepacked_ws(
     input: &QTensor,
     pa: &PackedA,
@@ -84,7 +116,7 @@ pub fn gemm_conv_prepacked_ws(
     shape: &ConvShape,
     cfg: &ParallelConfig,
     ws: &mut ConvWorkspace,
-) -> ConvOutput {
+) -> Tensor<i32> {
     gemm_conv_prepacked_ws_traced(input, pa, scheme, shape, cfg, ws, &Tracer::null())
 }
 
@@ -98,79 +130,18 @@ pub fn gemm_conv_prepacked_ws_traced(
     cfg: &ParallelConfig,
     ws: &mut ConvWorkspace,
     tracer: &Tracer,
-) -> ConvOutput {
+) -> Tensor<i32> {
     check_weight_shape(pa.m, pa.k, shape);
     let before = ws.footprint_bytes();
+    let b = lower_b(input, shape, &mut ws.col, tracer);
     let (k, n) = (shape.gemm_k(), shape.gemm_n());
-    {
-        let mut span = tracer.span("im2col", MAIN_TRACK);
-        span.set_label(|| format!("{k}x{n}"));
-        im2col_nchw_into(input, shape, &mut ws.col);
-    }
-    let c_cm = gemm_parallel_cm_traced(
-        scheme,
-        SharedWeights::Wide(pa),
-        &ws.col.data,
-        k,
-        n,
-        cfg,
-        &mut ws.gemm,
-        tracer,
-    );
+    let c_cm = gemm_parallel_cm_traced(scheme, pa, b, k, n, cfg, &mut ws.gemm, tracer);
     let acc = {
         let _span = tracer.span("reshape nchw", MAIN_TRACK);
         matrix_to_nchw_cm(c_cm, shape)
     };
     ws.note_call(before);
-    ConvOutput { acc, schedule: schedule_gemm_conv_prepacked(scheme, shape) }
-}
-
-/// Prepacked parallel convolution on the narrow 8x4 kernel (SMLAL widths).
-pub fn gemm_conv_narrow_prepacked_ws(
-    input: &QTensor,
-    pa: &PackedANarrow,
-    scheme: &Scheme,
-    shape: &ConvShape,
-    cfg: &ParallelConfig,
-    ws: &mut ConvWorkspace,
-) -> ConvOutput {
-    gemm_conv_narrow_prepacked_ws_traced(input, pa, scheme, shape, cfg, ws, &Tracer::null())
-}
-
-/// [`gemm_conv_narrow_prepacked_ws`] with span recording.
-pub fn gemm_conv_narrow_prepacked_ws_traced(
-    input: &QTensor,
-    pa: &PackedANarrow,
-    scheme: &Scheme,
-    shape: &ConvShape,
-    cfg: &ParallelConfig,
-    ws: &mut ConvWorkspace,
-    tracer: &Tracer,
-) -> ConvOutput {
-    check_weight_shape(pa.m, pa.k, shape);
-    let before = ws.footprint_bytes();
-    let (k, n) = (shape.gemm_k(), shape.gemm_n());
-    {
-        let mut span = tracer.span("im2col", MAIN_TRACK);
-        span.set_label(|| format!("{k}x{n}"));
-        im2col_nchw_into(input, shape, &mut ws.col);
-    }
-    let c_cm = gemm_parallel_cm_traced(
-        scheme,
-        SharedWeights::Narrow(pa),
-        &ws.col.data,
-        k,
-        n,
-        cfg,
-        &mut ws.gemm,
-        tracer,
-    );
-    let acc = {
-        let _span = tracer.span("reshape nchw", MAIN_TRACK);
-        matrix_to_nchw_cm(c_cm, shape)
-    };
-    ws.note_call(before);
-    ConvOutput { acc, schedule: schedule_gemm_conv_narrow_prepacked(scheme, shape) }
+    acc
 }
 
 /// Prepacked convolution on the ARMv8.2 SDOT path (serial — SDOT has no
@@ -180,7 +151,7 @@ pub fn gemm_conv_sdot_prepacked_ws(
     pa: &PackedAQuads,
     shape: &ConvShape,
     ws: &mut ConvWorkspace,
-) -> ConvOutput {
+) -> Tensor<i32> {
     gemm_conv_sdot_prepacked_ws_traced(input, pa, shape, ws, &Tracer::null())
 }
 
@@ -192,18 +163,14 @@ pub fn gemm_conv_sdot_prepacked_ws_traced(
     shape: &ConvShape,
     ws: &mut ConvWorkspace,
     tracer: &Tracer,
-) -> ConvOutput {
+) -> Tensor<i32> {
     check_weight_shape(pa.m, pa.k, shape);
     let before = ws.footprint_bytes();
+    let b = lower_b(input, shape, &mut ws.col, tracer);
     let (k, n) = (shape.gemm_k(), shape.gemm_n());
     {
-        let mut span = tracer.span("im2col", MAIN_TRACK);
-        span.set_label(|| format!("{k}x{n}"));
-        im2col_nchw_into(input, shape, &mut ws.col);
-    }
-    {
         let _span = tracer.span("pack B quads", MAIN_TRACK);
-        pack_b_quads_into(&ws.col.data, k, n, &mut ws.bq);
+        pack_b_quads_into(b, k, n, &mut ws.bq);
     }
     {
         let _span = tracer.span("gemm sdot", MAIN_TRACK);
@@ -214,7 +181,7 @@ pub fn gemm_conv_sdot_prepacked_ws_traced(
         matrix_to_nchw_cm(&ws.c_sdot, shape)
     };
     ws.note_call(before);
-    ConvOutput { acc, schedule: schedule_gemm_conv_sdot_prepacked(shape) }
+    acc
 }
 
 fn drop_pack_a(mut sched: KernelSchedule) -> KernelSchedule {
@@ -263,7 +230,6 @@ pub fn parallel_cycle_split(sched: &KernelSchedule, model: &neon_sim::CostModel)
 mod tests {
     use super::*;
     use crate::direct_conv;
-    use lowbit_qgemm::narrow::pack_a_narrow;
     use lowbit_qgemm::sdot::pack_a_quads;
     use lowbit_qgemm::pack_a;
     use lowbit_tensor::{BitWidth, Layout};
@@ -288,25 +254,50 @@ mod tests {
     #[test]
     fn prepacked_paths_match_the_oracle_across_threads() {
         let shape = ConvShape::new(2, 5, 9, 7, 11, 3, 2, 1);
-        let bits = BitWidth::W8; // SMLAL: valid for wide, narrow and sdot
+        let bits = BitWidth::W8; // SMLAL: valid for the block kernel and sdot
         let scheme = Scheme::for_bits(bits);
         let (input, weights) = tensors(&shape, bits, 700);
         let oracle = direct_conv(&input, &weights, &shape);
         let (m, k) = (shape.gemm_m(), shape.gemm_k());
         let pa = pack_a(weights.data(), m, k);
-        let pan = pack_a_narrow(weights.data(), m, k);
         let paq = pack_a_quads(weights.data(), m, k);
         let mut ws = ConvWorkspace::new();
         for threads in [1, 3] {
             let cfg = ParallelConfig::with_threads(threads);
-            let wide = gemm_conv_prepacked_ws(&input, &pa, &scheme, &shape, &cfg, &mut ws);
-            assert_eq!(wide.acc.data(), oracle.data(), "wide x{threads}");
-            let narrow =
-                gemm_conv_narrow_prepacked_ws(&input, &pan, &scheme, &shape, &cfg, &mut ws);
-            assert_eq!(narrow.acc.data(), oracle.data(), "narrow x{threads}");
+            let acc = gemm_conv_prepacked_ws(&input, &pa, &scheme, &shape, &cfg, &mut ws);
+            assert_eq!(acc.data(), oracle.data(), "x{threads}");
         }
         let sdot = gemm_conv_sdot_prepacked_ws(&input, &paq, &shape, &mut ws);
-        assert_eq!(sdot.acc.data(), oracle.data(), "sdot");
+        assert_eq!(sdot.data(), oracle.data(), "sdot");
+    }
+
+    /// 1x1 stride-1 pad-0 layers: at batch 1 the GEMM reads the activation as
+    /// B (no im2col bytes), at batch 2 it goes through im2col; both equal the
+    /// oracle at every width, on the parallel and the SDOT path.
+    #[test]
+    fn pointwise_direct_b_matches_the_oracle_at_every_width() {
+        for batch in [1, 2] {
+            let shape = ConvShape::new(batch, 19, 5, 7, 21, 1, 1, 0);
+            assert_eq!(input_is_gemm_b(&shape), batch == 1);
+            for bits in BitWidth::ALL {
+                let scheme = Scheme::for_bits(bits);
+                let (input, weights) = tensors(&shape, bits, 900 + bits.bits() as u64);
+                let oracle = direct_conv(&input, &weights, &shape);
+                let (m, k) = (shape.gemm_m(), shape.gemm_k());
+                let pa = pack_a(weights.data(), m, k);
+                let mut ws = ConvWorkspace::new();
+                for threads in [1, 4] {
+                    let cfg = ParallelConfig::with_threads(threads);
+                    let acc = gemm_conv_prepacked_ws(&input, &pa, &scheme, &shape, &cfg, &mut ws);
+                    assert_eq!(acc.data(), oracle.data(), "b{batch} {bits} x{threads}");
+                }
+                let paq = pack_a_quads(weights.data(), m, k);
+                let sdot = gemm_conv_sdot_prepacked_ws(&input, &paq, &shape, &mut ws);
+                assert_eq!(sdot.data(), oracle.data(), "b{batch} {bits} sdot");
+                let im2col_bytes = ws.col.data.capacity();
+                assert_eq!(im2col_bytes == 0, batch == 1, "b{batch}: {im2col_bytes} im2col bytes");
+            }
+        }
     }
 
     #[test]

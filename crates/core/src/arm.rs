@@ -5,19 +5,22 @@
 //! the prepacked parallel paths of `lowbit_conv_arm::workspace`: weights are
 //! packed once per layer (keyed by a fingerprint of the weight tensor) and
 //! reused across calls, the im2col/pack-B/result buffers live in one arena,
-//! and the GEMM spans `LOWBIT_THREADS` scoped threads. Both the executed and
-//! the estimated schedules therefore drop the `pack A` stage. The cost model
+//! and the GEMM spans `LOWBIT_THREADS` scoped threads. `Gemm` and
+//! `GemmNarrow` execute the same 16-row layout; they differ only in the
+//! register allocation the cost model prices (the 16x4 tile of Alg. 1 or the
+//! spill-free 8x4 tile). Every conv's schedule comes from `warm_schedule`,
+//! the same match [`ArmEngine::estimate_millis`] prices, so the GEMM-family
+//! schedules drop the `pack A` stage the cache amortizes. The cost model
 //! stays single-core — wall-clock thread scaling is the benchmark suite's
 //! story, not the model's.
 
 use lowbit_conv_arm::{
-    bitserial_conv, gemm_conv_narrow_prepacked_ws_traced, gemm_conv_prepacked_ws_traced,
-    gemm_conv_sdot_prepacked_ws_traced, ncnn_conv, schedule_bitserial_conv, schedule_gemm_conv,
-    schedule_gemm_conv_narrow, schedule_gemm_conv_narrow_prepacked, schedule_gemm_conv_prepacked,
-    schedule_gemm_conv_sdot, schedule_gemm_conv_sdot_prepacked, schedule_ncnn_conv,
-    schedule_winograd_conv, winograd_conv, ConvWorkspace,
+    bitserial_conv, gemm_conv_prepacked_ws_traced, gemm_conv_sdot_prepacked_ws_traced, ncnn_conv,
+    schedule_bitserial_conv, schedule_gemm_conv, schedule_gemm_conv_narrow,
+    schedule_gemm_conv_narrow_prepacked, schedule_gemm_conv_prepacked, schedule_gemm_conv_sdot,
+    schedule_gemm_conv_sdot_prepacked, schedule_ncnn_conv, schedule_winograd_conv, winograd_conv,
+    ConvWorkspace,
 };
-use lowbit_qgemm::narrow::{pack_a_narrow, PackedANarrow};
 use lowbit_qgemm::parallel::{threads_from_env, ParallelConfig, MAX_THREADS};
 use lowbit_qgemm::sdot::{pack_a_quads, PackedAQuads};
 use lowbit_qgemm::workspace::WorkspaceStats;
@@ -26,7 +29,7 @@ use lowbit_tensor::{BitWidth, ConvShape, QTensor, Tensor};
 use lowbit_trace::{PipeAttribution, Tracer, MAIN_TRACK};
 use neon_sim::{CortexA53, CostModel, KernelSchedule, StageCost};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Algorithm choice for one layer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,6 +42,8 @@ pub enum ArmAlgo {
     /// Force the Winograd `F(2x2, 3x3)` path (panics if not applicable).
     Winograd,
     /// The spill-free narrow 8x4 GEMM tile (extension; SMLAL widths only).
+    /// A modeled register allocation: the cost model prices the 8x4 tile,
+    /// and the host runs the same 16-row block kernel as `Gemm`.
     GemmNarrow,
     /// The ARMv8.2 `SDOT` GEMM (extension; models a newer core's ISA).
     GemmSdot,
@@ -148,11 +153,11 @@ pub struct PrepackStats {
 /// server shares one engine. [`ArmEngine::with_prepack_capacity`] overrides.
 pub const DEFAULT_PREPACK_CAPACITY_BYTES: usize = 64 << 20;
 
-/// One cached prepacked weight matrix, in the layout its algorithm needs.
+/// One cached prepacked weight matrix, in the layout its algorithm runs:
+/// 16-row panels for `Gemm` and `GemmNarrow`, quads for `GemmSdot`.
 #[derive(Debug)]
 enum PackedWeights {
     Wide(PackedA),
-    Narrow(PackedANarrow),
     Quads(PackedAQuads),
 }
 
@@ -160,9 +165,20 @@ impl PackedWeights {
     fn bytes(&self) -> usize {
         match self {
             PackedWeights::Wide(p) => p.data.len(),
-            PackedWeights::Narrow(p) => p.data.len(),
             PackedWeights::Quads(p) => p.data.len(),
         }
+    }
+}
+
+/// The layout tag a prepack key starts with (`None` for algorithms without
+/// a prepacked layout). `Gemm` and `GemmNarrow` pack alike but keep their
+/// own tags, so plans and cache entries stay keyed as they always were.
+fn layout_tag(algo: ArmAlgo) -> Option<usize> {
+    match algo {
+        ArmAlgo::Gemm => Some(0),
+        ArmAlgo::GemmNarrow => Some(1),
+        ArmAlgo::GemmSdot => Some(2),
+        _ => None,
     }
 }
 
@@ -171,13 +187,22 @@ impl PackedWeights {
 /// what [`crate::plan::LayerPlan::prepack_fingerprint`] records, so a plan
 /// can be checked against the engine's cache contents.
 pub fn prepack_fingerprint(weights: &QTensor, algo: ArmAlgo) -> Option<u64> {
-    let tag = match algo {
-        ArmAlgo::Gemm => 0u8,
-        ArmAlgo::GemmNarrow => 1,
-        ArmAlgo::GemmSdot => 2,
-        _ => return None,
-    };
-    Some(fingerprint(weights, tag))
+    layout_tag(algo).map(|tag| fingerprint(weights, tag as u8))
+}
+
+/// One weight tensor's prepack keys, each hashed on first use and then
+/// kept. [`crate::Network`] holds one per layer, so running a layer never
+/// re-hashes its weights, and a layer no ARM plan uses is never hashed.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct PrepackKeys([OnceLock<u64>; 3]);
+
+impl PrepackKeys {
+    /// [`prepack_fingerprint`]`(weights, algo)`, computed once per layout
+    /// tag. `weights` must be the tensor these keys belong to.
+    pub(crate) fn get(&self, weights: &QTensor, algo: ArmAlgo) -> Option<u64> {
+        let tag = layout_tag(algo)?;
+        Some(*self.0[tag].get_or_init(|| fingerprint(weights, tag as u8)))
+    }
 }
 
 /// FNV-1a over the weight tensor's identity (algorithm layout tag, bit
@@ -240,14 +265,14 @@ impl Default for EngineState {
 }
 
 impl EngineState {
+    /// The packed weights cached under `key`, packing `weights` on a miss.
     fn prepacked(
         &mut self,
+        key: u64,
         weights: &QTensor,
         shape: &ConvShape,
         algo: ArmAlgo,
     ) -> Arc<PackedWeights> {
-        let key = prepack_fingerprint(weights, algo)
-            .unwrap_or_else(|| unreachable!("{algo:?} has no prepacked layout"));
         self.tick += 1;
         let tick = self.tick;
         if let Some(entry) = self.cache.get_mut(&key) {
@@ -258,8 +283,9 @@ impl EngineState {
         self.misses += 1;
         let (m, k) = (shape.gemm_m(), shape.gemm_k());
         let packed = Arc::new(match algo {
-            ArmAlgo::Gemm => PackedWeights::Wide(pack_a(weights.data(), m, k)),
-            ArmAlgo::GemmNarrow => PackedWeights::Narrow(pack_a_narrow(weights.data(), m, k)),
+            ArmAlgo::Gemm | ArmAlgo::GemmNarrow => {
+                PackedWeights::Wide(pack_a(weights.data(), m, k))
+            }
             ArmAlgo::GemmSdot => PackedWeights::Quads(pack_a_quads(weights.data(), m, k)),
             _ => unreachable!(),
         });
@@ -381,6 +407,14 @@ impl ArmEngine {
         crate::planner::select_arm_algo(&self.model, bits, shape)
     }
 
+    /// `algo` with `Auto` resolved for `bits` and `shape`.
+    fn resolve(&self, algo: ArmAlgo, bits: BitWidth, shape: &ConvShape) -> ArmAlgo {
+        match algo {
+            ArmAlgo::Auto => self.select_algo(bits, shape),
+            other => other,
+        }
+    }
+
     /// Runs a convolution, returning exact accumulators and modeled time.
     pub fn conv(
         &self,
@@ -407,30 +441,46 @@ impl ArmEngine {
         tracer: &Tracer,
         ctx: &str,
     ) -> ArmConvResult {
+        let algo = self.resolve(algo, input.bits().max(weights.bits()), shape);
+        let key = prepack_fingerprint(weights, algo);
+        self.conv_keyed(input, weights, key, shape, algo, tracer, ctx)
+    }
+
+    /// [`ArmEngine::conv_traced`] for a resolved `algo` (never `Auto`) whose
+    /// prepack key the caller already holds: `prepack_key` must equal
+    /// [`prepack_fingerprint`]`(weights, algo)`, as a [`crate::Network`]
+    /// keeps it per layer. This is the one path every engine conv takes.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn conv_keyed(
+        &self,
+        input: &QTensor,
+        weights: &QTensor,
+        prepack_key: Option<u64>,
+        shape: &ConvShape,
+        algo: ArmAlgo,
+        tracer: &Tracer,
+        ctx: &str,
+    ) -> ArmConvResult {
+        assert_ne!(algo, ArmAlgo::Auto, "resolve Auto before keying the prepack cache");
         let bits = input.bits().max(weights.bits());
-        let algo = match algo {
-            ArmAlgo::Auto => self.select_algo(bits, shape),
-            other => other,
-        };
         let mut conv_span = tracer.span("conv", MAIN_TRACK);
         conv_span.set_label(|| format!("{ctx}: {algo:?} {bits}"));
         let mut prepack_hit = None;
         let mut workspace_growth_bytes = 0;
-        let out = match algo {
+        let acc = match algo {
             ArmAlgo::Gemm | ArmAlgo::GemmNarrow | ArmAlgo::GemmSdot => {
+                let key = prepack_key
+                    .unwrap_or_else(|| panic!("{algo:?} needs its weights' prepack key"));
                 let scheme = Scheme::for_bits(bits);
                 let cfg = ParallelConfig::with_threads(self.threads);
                 let mut guard = self.state.lock().expect("engine state poisoned");
                 let st = &mut *guard;
                 let hits_before = st.hits;
-                let packed = st.prepacked(weights, shape, algo);
+                let packed = st.prepacked(key, weights, shape, algo);
                 prepack_hit = Some(st.hits > hits_before);
                 let ws_before = st.ws.footprint_bytes();
-                let out = match &*packed {
+                let acc = match &*packed {
                     PackedWeights::Wide(pa) => gemm_conv_prepacked_ws_traced(
-                        input, pa, &scheme, shape, &cfg, &mut st.ws, tracer,
-                    ),
-                    PackedWeights::Narrow(pa) => gemm_conv_narrow_prepacked_ws_traced(
                         input, pa, &scheme, shape, &cfg, &mut st.ws, tracer,
                     ),
                     PackedWeights::Quads(pa) => {
@@ -438,57 +488,29 @@ impl ArmEngine {
                     }
                 };
                 workspace_growth_bytes = st.ws.footprint_bytes().saturating_sub(ws_before);
-                out
+                acc
             }
-            ArmAlgo::Winograd => winograd_conv(input, weights, shape),
-            ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape),
-            ArmAlgo::BitserialBaseline => bitserial_conv(input, weights, shape),
-            ArmAlgo::Auto => unreachable!("Auto resolved above"),
+            ArmAlgo::Winograd => winograd_conv(input, weights, shape).acc,
+            ArmAlgo::NcnnBaseline => ncnn_conv(input, weights, shape).acc,
+            ArmAlgo::BitserialBaseline => bitserial_conv(input, weights, shape).acc,
+            ArmAlgo::Auto => unreachable!("checked above"),
         };
         drop(conv_span);
+        let schedule = warm_schedule(bits, shape, algo);
         if tracer.enabled() {
             let track = tracer.track(&format!("modeled/{ctx}"));
-            emit_modeled_schedule(
-                tracer,
-                track,
-                &format!("{algo:?} {bits}"),
-                &out.schedule,
-                &self.model,
-            );
+            let label = format!("{algo:?} {bits}");
+            emit_modeled_schedule(tracer, track, &label, &schedule, &self.model);
         }
-        let millis = out.schedule.millis(&self.model);
+        let millis = schedule.millis(&self.model);
         self.state.lock().expect("engine state poisoned").modeled_millis += millis;
-        ArmConvResult {
-            acc: out.acc,
-            algo,
-            schedule: out.schedule,
-            millis,
-            prepack_hit,
-            workspace_growth_bytes,
-        }
+        ArmConvResult { acc, algo, schedule, millis, prepack_hit, workspace_growth_bytes }
     }
 
     /// Modeled time in milliseconds without executing (used by the harness
-    /// at full layer scale).
+    /// at full layer scale): the warm schedule executed convs attach.
     pub fn estimate_millis(&self, bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> f64 {
-        let algo = match algo {
-            ArmAlgo::Auto => self.select_algo(bits, shape),
-            other => other,
-        };
-        // GEMM-family estimates match the executed prepacked pipelines:
-        // no `pack A` stage (the cache amortizes it to zero per call).
-        let sched = match algo {
-            ArmAlgo::Gemm => schedule_gemm_conv_prepacked(&Scheme::for_bits(bits), shape),
-            ArmAlgo::Winograd => schedule_winograd_conv(bits, shape),
-            ArmAlgo::GemmNarrow => {
-                schedule_gemm_conv_narrow_prepacked(&Scheme::for_bits(bits), shape)
-            }
-            ArmAlgo::GemmSdot => schedule_gemm_conv_sdot_prepacked(shape),
-            ArmAlgo::NcnnBaseline => schedule_ncnn_conv(shape),
-            ArmAlgo::BitserialBaseline => schedule_bitserial_conv(shape),
-            ArmAlgo::Auto => unreachable!(),
-        };
-        sched.millis(&self.model)
+        warm_schedule(bits, shape, self.resolve(algo, bits, shape)).millis(&self.model)
     }
 
     /// Modeled one-shot ("cold") time: prices the full pipeline including
@@ -497,11 +519,7 @@ impl ArmEngine {
     /// the paper's per-layer kernel measurements correspond to, so the
     /// figure harness uses it.
     pub fn estimate_millis_cold(&self, bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> f64 {
-        let algo = match algo {
-            ArmAlgo::Auto => self.select_algo(bits, shape),
-            other => other,
-        };
-        let sched = match algo {
+        let sched = match self.resolve(algo, bits, shape) {
             ArmAlgo::Gemm => schedule_gemm_conv(&Scheme::for_bits(bits), shape),
             ArmAlgo::Winograd => schedule_winograd_conv(bits, shape),
             ArmAlgo::GemmNarrow => schedule_gemm_conv_narrow(&Scheme::for_bits(bits), shape),
@@ -511,6 +529,22 @@ impl ArmEngine {
             ArmAlgo::Auto => unreachable!(),
         };
         sched.millis(&self.model)
+    }
+}
+
+/// The steady-state ("warm") schedule of a resolved `algo`: the GEMM-family
+/// pipelines without the `pack A` stage the prepack cache amortizes. The
+/// one per-algorithm match behind executed convs, engine estimates and the
+/// planner's committed predictions.
+pub(crate) fn warm_schedule(bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> KernelSchedule {
+    match algo {
+        ArmAlgo::Gemm => schedule_gemm_conv_prepacked(&Scheme::for_bits(bits), shape),
+        ArmAlgo::GemmNarrow => schedule_gemm_conv_narrow_prepacked(&Scheme::for_bits(bits), shape),
+        ArmAlgo::GemmSdot => schedule_gemm_conv_sdot_prepacked(shape),
+        ArmAlgo::Winograd => schedule_winograd_conv(bits, shape),
+        ArmAlgo::NcnnBaseline => schedule_ncnn_conv(shape),
+        ArmAlgo::BitserialBaseline => schedule_bitserial_conv(shape),
+        ArmAlgo::Auto => unreachable!("resolve Auto first"),
     }
 }
 
@@ -659,6 +693,51 @@ mod tests {
         let _ = engine.conv(&input, &weights, &shape, ArmAlgo::Gemm);
         let stats = engine.prepack_stats();
         assert_eq!((stats.hits, stats.misses, stats.entries, stats.evictions), (1, 1, 1, 0));
+    }
+
+    /// Layers planned on the narrow 8x4 tile run the 16-row block kernel;
+    /// they stay exact at every SMLAL width and thread count, at M below,
+    /// between and above the 8- and 16-row tile heights, 1x1 and 3x3.
+    #[test]
+    fn gemm_narrow_layers_match_the_oracle_at_smlal_widths() {
+        for shape in [
+            ConvShape::new(1, 7, 9, 8, 12, 3, 1, 1),
+            ConvShape::new(1, 20, 6, 5, 21, 1, 1, 0),
+            ConvShape::new(2, 5, 7, 7, 5, 3, 2, 1),
+        ] {
+            for bits in [BitWidth::W4, BitWidth::W5, BitWidth::W6, BitWidth::W7, BitWidth::W8] {
+                let (input, weights) = tensors(&shape, bits, 40 + bits.bits() as u64);
+                let oracle = direct_conv(&input, &weights, &shape);
+                for threads in [1, 4] {
+                    let engine = ArmEngine::cortex_a53().with_threads(threads);
+                    let out = engine.conv(&input, &weights, &shape, ArmAlgo::GemmNarrow);
+                    assert_eq!(out.acc.data(), oracle.data(), "{shape} {bits} x{threads}");
+                    let est = engine.estimate_millis(bits, &shape, ArmAlgo::GemmNarrow);
+                    assert_eq!(out.millis.to_bits(), est.to_bits(), "{shape} {bits}");
+                }
+            }
+        }
+    }
+
+    /// The keys a network keeps per layer pick the same tag per algorithm
+    /// as `prepack_fingerprint` (the golden plans pin the values).
+    #[test]
+    fn prepack_keys_equal_the_per_algo_fingerprints() {
+        let shape = ConvShape::new(1, 4, 8, 8, 6, 3, 1, 1);
+        let (_, weights) = tensors(&shape, BitWidth::W5, 3);
+        let keys = PrepackKeys::default();
+        for algo in [
+            ArmAlgo::Gemm,
+            ArmAlgo::GemmNarrow,
+            ArmAlgo::GemmSdot,
+            ArmAlgo::Winograd,
+            ArmAlgo::NcnnBaseline,
+            ArmAlgo::BitserialBaseline,
+        ] {
+            let want = prepack_fingerprint(&weights, algo);
+            assert_eq!(keys.get(&weights, algo), want, "{algo:?}");
+            assert_eq!(keys.get(&weights, algo), want, "{algo:?} kept");
+        }
     }
 
     #[test]

@@ -55,12 +55,15 @@ pub trait Backend {
     fn kind(&self) -> BackendKind;
 
     /// Executes one planned layer on quantized activations, recording the
-    /// same spans the engine's direct API records.
+    /// same spans the engine's direct API records. `prepack_key` is the
+    /// weights' prepack-cache key for the planned algorithm, as the network
+    /// keeps it (`None` where the algorithm has no prepacked layout).
     fn execute_layer(
         &self,
         plan: &LayerPlan,
         act: &QTensor,
         weights: &QTensor,
+        prepack_key: Option<u64>,
         tracer: &Tracer,
     ) -> Result<BackendLayerRun, CoreError>;
 
@@ -89,12 +92,14 @@ impl Backend for ArmEngine {
         plan: &LayerPlan,
         act: &QTensor,
         weights: &QTensor,
+        prepack_key: Option<u64>,
         tracer: &Tracer,
     ) -> Result<BackendLayerRun, CoreError> {
         let PlanAlgo::Arm(algo) = plan.algo else {
             return Err(wrong_algo(plan, BackendKind::Arm));
         };
-        let out = self.conv_traced(act, weights, &plan.shape, algo, tracer, &plan.name);
+        let out =
+            self.conv_keyed(act, weights, prepack_key, &plan.shape, algo, tracer, &plan.name);
         Ok(BackendLayerRun {
             acc: out.acc,
             millis: out.millis,
@@ -129,6 +134,7 @@ impl Backend for GpuEngine {
         plan: &LayerPlan,
         act: &QTensor,
         weights: &QTensor,
+        _prepack_key: Option<u64>,
         tracer: &Tracer,
     ) -> Result<BackendLayerRun, CoreError> {
         let PlanAlgo::GpuImplicitGemm(cfg) = plan.algo else {
@@ -359,7 +365,11 @@ impl Executor {
                 let backend = self.backend_for(lp.backend)?;
                 let mut layer_span = tracer.span("layer", MAIN_TRACK);
                 let act = slots[node.inputs[0]].as_ref().expect("verified dataflow");
-                let out = backend.execute_layer(lp, act, &layer.weights, tracer)?;
+                let key = match lp.algo {
+                    PlanAlgo::Arm(algo) => net.prepack_key(li, algo),
+                    PlanAlgo::GpuImplicitGemm(_) => None,
+                };
+                let out = backend.execute_layer(lp, act, &layer.weights, key, tracer)?;
                 if let Some(metrics) = &self.metrics {
                     metrics.record_layer(ExecKey::of(lp), lp.predicted_millis, out.millis);
                 }
@@ -387,15 +397,14 @@ impl Executor {
                 // fusion pass attached one.
                 let mut acc = out.acc;
                 if let Some(bias) = &lp.epilogue.bias {
-                    let (n, c, h, w) = acc.dims();
-                    for bn in 0..n {
-                        for (cc, &b) in bias.iter().enumerate().take(c) {
-                            for hh in 0..h {
-                                for ww in 0..w {
-                                    let v = acc.get((bn, cc, hh, ww)) + b;
-                                    acc.set((bn, cc, hh, ww), v);
-                                }
-                            }
+                    // One channel per run of `channel_stride` elements: an
+                    // NCHW plane, or a single NHWC element.
+                    let run = acc.layout().channel_stride(acc.dims());
+                    let c = acc.dims().1;
+                    for (i, run) in acc.data_mut().chunks_exact_mut(run).enumerate() {
+                        let b = bias[i % c];
+                        for v in run {
+                            *v += b;
                         }
                     }
                 }
@@ -661,30 +670,22 @@ fn nchw(t: &QTensor) -> Cow<'_, QTensor> {
     }
 }
 
-/// Concatenates quantized tensors along the channel axis in NCHW.
+/// Concatenates quantized tensors along the channel axis in NCHW: each
+/// operand's channel planes of one batch item are one contiguous run, copied
+/// whole. NCHW operands are borrowed, not cloned.
 fn concat_channels<'a>(operands: impl Iterator<Item = &'a QTensor>) -> QTensor {
-    let normalized: Vec<QTensor> = operands
-        .map(|t| if t.layout() == Layout::Nchw { t.clone() } else { t.to_layout(Layout::Nchw) })
-        .collect();
+    let normalized: Vec<Cow<'_, QTensor>> = operands.map(nchw).collect();
     let (n, _, h, w) = normalized[0].dims();
     let bits = normalized[0].bits();
     let c_total: usize = normalized.iter().map(|t| t.dims().1).sum();
-    let mut out = Tensor::zeros((n, c_total, h, w), Layout::Nchw);
-    let mut c_off = 0;
-    for t in &normalized {
-        let c = t.dims().1;
-        for bn in 0..n {
-            for cc in 0..c {
-                for hh in 0..h {
-                    for ww in 0..w {
-                        out.set((bn, c_off + cc, hh, ww), t.tensor().get((bn, cc, hh, ww)));
-                    }
-                }
-            }
+    let mut data = Vec::with_capacity(n * c_total * h * w);
+    for bn in 0..n {
+        for t in &normalized {
+            let run = t.dims().1 * h * w;
+            data.extend_from_slice(&t.data()[bn * run..][..run]);
         }
-        c_off += c;
     }
-    QTensor::new(out, bits, 1.0)
+    QTensor::new(Tensor::from_vec((n, c_total, h, w), Layout::Nchw, data), bits, 1.0)
 }
 
 #[cfg(test)]
@@ -828,6 +829,102 @@ mod tests {
             CoreError::ConcRejected { violation: ConcViolation::CertificateForged { .. } } => {}
             other => panic!("expected forged-certificate rejection, got {other}"),
         }
+    }
+
+    /// The prepack key comes from the network being run, not from the plan:
+    /// a plan compiled for network A and run against a same-shaped network B
+    /// (after A warmed the shared cache) computes with B's weights.
+    #[test]
+    fn plan_for_one_network_runs_another_networks_weights() {
+        use crate::network::NetLayer;
+        use lowbit_conv_arm::direct_conv;
+        use lowbit_qnn::RequantParams;
+        use lowbit_tensor::ConvShape;
+
+        let bits = BitWidth::W8;
+        let shape = ConvShape::new(1, 6, 7, 7, 10, 3, 1, 1);
+        let mk = |seed: u64| {
+            Network::sequential(vec![NetLayer {
+                name: "l0".into(),
+                shape,
+                weights: QTensor::random((10, 6, 3, 3), Layout::Nchw, bits, seed),
+                bias: None,
+                relu: false,
+                requant: RequantParams::new(bits, 0.01),
+            }])
+            .unwrap()
+        };
+        let (net_a, net_b) = (mk(1), mk(2));
+        let engine = ArmEngine::cortex_a53();
+        let plan_a = Planner::for_arm(&engine).compile(&net_a).unwrap();
+        let plan_b = Planner::for_arm(&engine).compile(&net_b).unwrap();
+        let exec = Executor::for_arm(&engine);
+        let input = float_input((1, 6, 7, 7), 4);
+        let a_on_a = exec.run(&plan_a, &net_a, &input).unwrap();
+        let a_on_b = exec.run(&plan_a, &net_b, &input).unwrap();
+        let b_on_b = exec.run(&plan_b, &net_b, &input).unwrap();
+        assert_eq!(a_on_b.output.data(), b_on_b.output.data());
+        assert_ne!(a_on_b.output.data(), a_on_a.output.data());
+        // At the layer: B's accumulators, exactly.
+        let act = QTensor::random((1, 6, 7, 7), Layout::Nchw, bits, 9);
+        let weights = &net_b.layers()[0].weights;
+        let PlanAlgo::Arm(algo) = plan_a.layers()[0].algo else { unreachable!() };
+        let key = net_b.prepack_key(0, algo);
+        let run = engine
+            .execute_layer(&plan_a.layers()[0], &act, weights, key, &Tracer::null())
+            .unwrap();
+        assert_eq!(run.acc.data(), direct_conv(&act, weights, &shape).data());
+    }
+
+    #[test]
+    fn concat_channels_normalizes_an_nhwc_operand() {
+        let bits = BitWidth::W6;
+        let a = QTensor::random((2, 3, 4, 5), Layout::Nchw, bits, 1);
+        let b = QTensor::random((2, 2, 4, 5), Layout::Nchw, bits, 2);
+        let b_nhwc = b.to_layout(Layout::Nhwc);
+        let out = concat_channels([&a, &b_nhwc].into_iter());
+        assert_eq!((out.dims(), out.layout(), out.bits()), ((2, 5, 4, 5), Layout::Nchw, bits));
+        for n in 0..2 {
+            for c in 0..5 {
+                for h in 0..4 {
+                    for w in 0..5 {
+                        let want =
+                            if c < 3 { a.get((n, c, h, w)) } else { b.get((n, c - 3, h, w)) };
+                        assert_eq!(out.get((n, c, h, w)), want, "({n}, {c}, {h}, {w})");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The bias epilogue adds per channel in whatever layout the backend
+    /// returns: the NHWC accumulators of the GPU model and the NCHW ones of
+    /// the ARM engine give the same output.
+    #[test]
+    fn per_channel_bias_agrees_across_backend_layouts() {
+        use crate::network::NetLayer;
+        use lowbit_qnn::RequantParams;
+        use lowbit_tensor::ConvShape;
+
+        let bits = BitWidth::W4;
+        let shape = ConvShape::new(1, 8, 6, 6, 8, 3, 1, 1);
+        let net = Network::sequential(vec![NetLayer {
+            name: "l0".into(),
+            shape,
+            weights: QTensor::random((8, 8, 3, 3), Layout::Nchw, bits, 3),
+            bias: Some(vec![40, -40, 7, 0, -3, 90, -90, 1]),
+            relu: false,
+            requant: RequantParams::new(bits, 0.05),
+        }])
+        .unwrap();
+        let input = float_input((1, 8, 6, 6), 8);
+        let arm = ArmEngine::cortex_a53();
+        let arm_plan = Planner::for_arm(&arm).compile(&net).unwrap();
+        let arm_run = Executor::for_arm(&arm).run(&arm_plan, &net, &input).unwrap();
+        let gpu = GpuEngine::rtx2080ti();
+        let gpu_plan = Planner::for_gpu(&gpu, Tuning::Default).compile(&net).unwrap();
+        let gpu_run = Executor::for_gpu(&gpu).run(&gpu_plan, &net, &input).unwrap();
+        assert_eq!(gpu_run.output.data(), arm_run.output.data());
     }
 
     #[test]

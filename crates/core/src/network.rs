@@ -11,7 +11,7 @@
 //! pipeline (deprecated in spirit: new code should plan once and execute
 //! many times).
 
-use crate::arm::{ArmAlgo, ArmEngine};
+use crate::arm::{ArmAlgo, ArmEngine, PrepackKeys};
 use crate::error::CoreError;
 use crate::executor::Executor;
 use crate::graph::{GraphNode, GraphTopology, NodeOp, ValueInfo};
@@ -48,6 +48,9 @@ pub struct NetLayer {
 pub struct Network {
     layers: Vec<NetLayer>,
     topology: GraphTopology,
+    /// Each layer's prepack-cache keys, hashed on first use and kept: the
+    /// layers are immutable behind [`Network::layers`].
+    prepack_keys: Vec<PrepackKeys>,
 }
 
 /// Per-layer execution/estimate record, unified across backends: ARM layers
@@ -134,7 +137,7 @@ impl Network {
             return Err(CoreError::EmptyNetwork);
         }
         let topology = GraphTopology::chain(&layers);
-        Ok(Network { layers, topology })
+        Ok(Network::assemble(layers, topology))
     }
 
     /// Builds a graph-shaped network: conv layers wired by an explicit DAG
@@ -157,7 +160,12 @@ impl Network {
             }
         }
         topology.validate(&layers)?;
-        Ok(Network { layers, topology })
+        Ok(Network::assemble(layers, topology))
+    }
+
+    fn assemble(layers: Vec<NetLayer>, topology: GraphTopology) -> Network {
+        let prepack_keys = vec![PrepackKeys::default(); layers.len()];
+        Network { layers, topology, prepack_keys }
     }
 
     /// Builds a deterministic graph network from a [`lowbit_models::GraphDef`]
@@ -285,12 +293,16 @@ impl Network {
     /// serving layer's batching primitive — one request-class template
     /// network spawns the batched variant each bucket needs.
     pub fn with_batch(&self, batch: usize) -> Result<Network, CoreError> {
-        let layers = self
+        let layers: Vec<NetLayer> = self
             .layers
             .iter()
             .map(|l| NetLayer { shape: l.shape.with_batch(batch), ..l.clone() })
             .collect();
-        Network::from_graph(layers, self.topology.with_batch(batch))
+        // Same weights, so the same prepack keys; only the geometry needs
+        // re-validating.
+        let topology = self.topology.with_batch(batch);
+        topology.validate(&layers)?;
+        Ok(Network { layers, topology, prepack_keys: self.prepack_keys.clone() })
     }
 
     /// A content fingerprint of the network: FNV-1a over every layer's name,
@@ -313,6 +325,13 @@ impl Network {
     /// Layers view.
     pub fn layers(&self) -> &[NetLayer] {
         &self.layers
+    }
+
+    /// The prepack-cache key of layer `layer`'s weights under `algo`
+    /// ([`crate::prepack_fingerprint`]), hashed on the first call for each
+    /// layout and kept for the network's lifetime.
+    pub fn prepack_key(&self, layer: usize, algo: ArmAlgo) -> Option<u64> {
+        self.prepack_keys[layer].get(&self.layers[layer].weights, algo)
     }
 
     /// The DAG topology the layers execute under (a chain for sequential

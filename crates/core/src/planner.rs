@@ -16,7 +16,7 @@
 //! bit. The committed [`LayerPlan::predicted_millis`] is the *warm*
 //! (prepacked) cost — what repeated execution actually pays.
 
-use crate::arm::{prepack_fingerprint, ArmAlgo, ArmEngine};
+use crate::arm::{warm_schedule, ArmAlgo, ArmEngine};
 use crate::error::CoreError;
 use crate::gpu::{GpuEngine, Tuning};
 use crate::graph::NodeOp;
@@ -27,10 +27,7 @@ use crate::plan::{
     PlanOp, ValuePlan,
 };
 use lowbit_conv_arm::{
-    schedule_bitserial_conv, schedule_gemm_conv, schedule_gemm_conv_narrow,
-    schedule_gemm_conv_narrow_prepacked, schedule_gemm_conv_prepacked,
-    schedule_gemm_conv_sdot_prepacked, schedule_ncnn_conv, schedule_winograd_conv,
-    winograd_supported,
+    schedule_gemm_conv, schedule_gemm_conv_narrow, schedule_winograd_conv, winograd_supported,
 };
 use lowbit_conv_gpu::{auto_search, default_config, ConvGpuPlan};
 use lowbit_qgemm::Scheme;
@@ -58,13 +55,13 @@ pub fn arm_candidates(model: &CostModel, bits: BitWidth, shape: &ConvShape) -> V
     let mut out = vec![ArmCandidate {
         algo: ArmAlgo::Gemm,
         cold_cycles: schedule_gemm_conv(&scheme, shape).cycles(model),
-        warm_millis: schedule_gemm_conv_prepacked(&scheme, shape).millis(model),
+        warm_millis: warm_schedule(bits, shape, ArmAlgo::Gemm).millis(model),
     }];
     if !bits.uses_mla_scheme() {
         out.push(ArmCandidate {
             algo: ArmAlgo::GemmNarrow,
             cold_cycles: schedule_gemm_conv_narrow(&scheme, shape).cycles(model),
-            warm_millis: schedule_gemm_conv_narrow_prepacked(&scheme, shape).millis(model),
+            warm_millis: warm_schedule(bits, shape, ArmAlgo::GemmNarrow).millis(model),
         });
     }
     if winograd_supported(bits) && shape.winograd_applicable() {
@@ -93,32 +90,17 @@ pub fn select_arm_algo(model: &CostModel, bits: BitWidth, shape: &ConvShape) -> 
     best.algo
 }
 
-/// Certified workspace sizing for an ARM layer: the exact arena bytes the
-/// prepacked path can request (im2col matrix, column-major i32 result,
-/// per-thread packed B panels maximized over every legal thread count, SDOT
-/// quad buffers), delegated to the verifier's single-source formula so the
-/// declared figure and the proven bound cannot diverge. Algorithms that do
-/// not run through the shared arena report 0.
+/// Certified workspace sizing for an ARM layer: an upper bound on the
+/// arena bytes the prepacked path can request (im2col matrix, column-major
+/// i32 result, per-thread packed B panels maximized over every legal thread
+/// count, SDOT quad buffers), delegated to the verifier's single-source
+/// formula so the declared figure and the proven bound cannot diverge.
+/// Algorithms that do not run through the shared arena report 0.
 pub fn arm_workspace_bytes(shape: &ConvShape, algo: ArmAlgo) -> usize {
     match crate::verify::algo_kind(algo) {
         Some(kind) => lowbit_verify::arm_workspace_requirement(shape, kind).total(),
         None => 0,
     }
-}
-
-/// The steady-state millis the ARM engine models for a concrete algorithm
-/// (mirrors `ArmEngine::estimate_millis` for non-`Auto` algorithms).
-fn arm_warm_millis(model: &CostModel, bits: BitWidth, shape: &ConvShape, algo: ArmAlgo) -> f64 {
-    match algo {
-        ArmAlgo::Gemm => schedule_gemm_conv_prepacked(&Scheme::for_bits(bits), shape),
-        ArmAlgo::GemmNarrow => schedule_gemm_conv_narrow_prepacked(&Scheme::for_bits(bits), shape),
-        ArmAlgo::GemmSdot => schedule_gemm_conv_sdot_prepacked(shape),
-        ArmAlgo::Winograd => schedule_winograd_conv(bits, shape),
-        ArmAlgo::NcnnBaseline => schedule_ncnn_conv(shape),
-        ArmAlgo::BitserialBaseline => schedule_bitserial_conv(shape),
-        ArmAlgo::Auto => unreachable!("plans never carry Auto"),
-    }
-    .millis(model)
 }
 
 /// Compiles networks into execution plans over the registered backends.
@@ -190,22 +172,23 @@ impl Planner {
     /// `ArmAlgo::Auto` (or `None`) enumerates and cost-ranks.
     fn plan_arm_layer(
         engine: &ArmEngine,
-        name: &str,
-        shape: &ConvShape,
+        net: &Network,
+        li: usize,
         bits: BitWidth,
-        weights: &lowbit_tensor::QTensor,
         epilogue: Epilogue,
     ) -> LayerPlan {
+        let layer = &net.layers()[li];
+        let shape = &layer.shape;
         let algo = select_arm_algo(engine.model(), bits, shape);
         LayerPlan {
-            name: name.to_string(),
+            name: layer.name.clone(),
             shape: *shape,
             bits,
             backend: BackendKind::Arm,
             algo: PlanAlgo::Arm(algo),
-            prepack_fingerprint: prepack_fingerprint(weights, algo),
+            prepack_fingerprint: net.prepack_key(li, algo),
             workspace_bytes: arm_workspace_bytes(shape, algo),
-            predicted_millis: arm_warm_millis(engine.model(), bits, shape, algo),
+            predicted_millis: warm_schedule(bits, shape, algo).millis(engine.model()),
             epilogue,
             // The ARM kernels are NCHW-native: no conversions at the
             // canonical inter-layer boundary.
@@ -300,7 +283,7 @@ impl Planner {
                         relu: layer.relu,
                     };
                     let arm_plan = self.arm.as_ref().map(|engine| {
-                        Self::plan_arm_layer(engine, &layer.name, &layer.shape, bits, &layer.weights, epilogue.clone())
+                        Self::plan_arm_layer(engine, net, li, bits, epilogue.clone())
                     });
                     let gpu_plan = match &self.gpu {
                         Some((engine, tuning)) => {

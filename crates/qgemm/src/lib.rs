@@ -41,7 +41,7 @@ pub use emit_gemm::{emit_gemm, GemmLayout};
 pub use gemm::{gemm, GemmOutput};
 pub use narrow::{gemm_narrow, schedule_gemm_narrow};
 pub use parallel::{
-    gemm_parallel, partition_columns, threads_from_env, ColumnSpan, ParallelConfig, SharedWeights,
+    gemm_parallel, partition_columns, threads_from_env, ColumnSpan, ParallelConfig,
 };
 pub use sdot::{gemm_sdot, schedule_gemm_sdot};
 pub use pack::{pack_a, pack_b, PackedA, PackedB, NA, NB};

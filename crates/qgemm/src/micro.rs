@@ -12,14 +12,16 @@
 //!    interpreted output must equal the functional output, and the
 //!    interpreter's instruction counters must equal the analytic counts.
 //!
-//! The parallel GEMM driver (`crate::parallel`, which runs the ARM engine's
-//! 16x4 and 8x4 im2col GEMMs) runs (1)'s MLA arithmetic at the MLA widths
-//! (W2, W3), one call per K block. At the SMLAL widths (W4-W8) its worker
-//! runs a proof-licensed i16 block kernel instead
+//! The parallel GEMM driver (`crate::parallel`, which runs every im2col GEMM
+//! of the ARM engine on the 16-row layout) runs (1)'s MLA arithmetic at the
+//! MLA widths (W2, W3), one call per K block. At the SMLAL widths (W4-W8)
+//! its worker runs a proof-licensed i16 block kernel instead
 //! (`crate::parallel::proven_run`): since every operand lies in its
 //! `BitWidth` range, i16 partials stay exact for `i16::MAX / max|a·b|`
 //! steps (511 at W4, 2 at W8), so that kernel drains that rarely and
-//! still matches (1) bit for bit. The serial [`crate::gemm::gemm`] /
+//! still matches (1) bit for bit. Layers planned on the narrow 8x4 tile
+//! (`crate::narrow`) run it too: on the host the 8x4 tile is a modeled
+//! register allocation. The serial [`crate::gemm::gemm`] /
 //! `gemm_narrow`, and with them Winograd's per-position GEMMs, execute (1)
 //! at layer scale. The modeled numbers come from (2) on every path.
 //!

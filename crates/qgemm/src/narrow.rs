@@ -13,6 +13,13 @@
 //! The crossover is verified by tests: the narrow tile models faster at
 //! ratio ≤ ~8 (7/8-bit and the ratio-3..8 Winograd domains) and slower at
 //! the loose 4–6-bit ratios.
+//!
+//! On the host the 8x4 tile is a modeled register allocation only: a layer
+//! the planner commits to it runs the 16-row block kernel of
+//! `crate::parallel` like every other SMLAL layer (same exact sums), and
+//! [`run_tile_narrow`] / [`emit_tile_narrow`] stay the oracles of what the
+//! modeled tile computes. The serial [`gemm_narrow`] (Winograd's
+//! per-position GEMMs) still runs the lane-exact tile.
 
 #![allow(clippy::field_reassign_with_default)] // InstCounts builders read clearer this way
 

@@ -8,13 +8,16 @@
 //! atomics, no locks and no `unsafe` — and the output is bit-exact versus
 //! the serial path for every thread count and blocking parameter.
 //!
-//! At the SMLAL widths (W4-W8) every tile of a K block runs on the
-//! proof-licensed block kernel, which keeps i16 partials for as many steps
-//! as the scheme's operand bound allows (see [`proven_run`]: 511 at W4, 2
-//! at W8). The lane-exact `micro::run_tile` / `narrow::run_tile_narrow` are
-//! the oracles it is tested against. The MLA widths (W2, W3) run the
-//! paper's i8 MLA + SADDW arithmetic, `micro::accumulate_mla`, over the
-//! K block; `worker` says why.
+//! The driver runs one layout: 16-row packed A ([`PackedA`]). At the SMLAL
+//! widths (W4-W8) every tile of a K block runs on the proof-licensed block
+//! kernel, which keeps i16 partials for as many steps as the scheme's
+//! operand bound allows (see [`proven_run`]: 511 at W4, 2 at W8). The
+//! lane-exact `micro::run_tile` is the oracle it is tested against; the
+//! narrow 8x4 tile (`narrow::run_tile_narrow`) is a modeled register
+//! allocation that the planner may price for a layer, and such a layer runs
+//! here on the 16-row layout too. The MLA widths (W2, W3) run the paper's i8
+//! MLA + SADDW arithmetic, `micro::accumulate_mla`, over the K block;
+//! `worker` says why.
 //!
 //! Why bit-exactness holds under K-blocking: every partial is exact within
 //! its licensed run, so each K-block contributes the exact i32 sub-sum and
@@ -24,7 +27,6 @@
 
 use crate::gemm::{schedule_gemm, GemmOutput};
 use crate::micro::{accumulate_mla, TILE_LEN};
-use crate::narrow::{PackedANarrow, NARROW_TILE_LEN, NA8};
 use crate::pack::{pack_a, PackedA, NA, NB};
 use crate::scheme::{Scheme, SchemeKind};
 use crate::workspace::GemmWorkspace;
@@ -140,40 +142,6 @@ pub fn partition_columns(n: usize, threads: usize) -> Vec<ColumnSpan> {
     spans
 }
 
-/// The shared, read-only packed weights a parallel GEMM runs against.
-#[derive(Clone, Copy)]
-pub enum SharedWeights<'a> {
-    /// 16-row tiles (SMLAL and MLA schemes).
-    Wide(&'a PackedA),
-    /// 8-row tiles (narrow SMLAL kernel).
-    Narrow(&'a PackedANarrow),
-}
-
-impl SharedWeights<'_> {
-    /// Logical rows (GEMM M).
-    pub fn m(&self) -> usize {
-        match self {
-            SharedWeights::Wide(pa) => pa.m,
-            SharedWeights::Narrow(pa) => pa.m,
-        }
-    }
-
-    /// Shared dimension (GEMM K).
-    pub fn k(&self) -> usize {
-        match self {
-            SharedWeights::Wide(pa) => pa.k,
-            SharedWeights::Narrow(pa) => pa.k,
-        }
-    }
-
-    fn tiles(&self) -> usize {
-        match self {
-            SharedWeights::Wide(pa) => pa.tiles(),
-            SharedWeights::Narrow(pa) => pa.tiles(),
-        }
-    }
-}
-
 /// Runs `C = A x B` across `cfg.threads` scoped threads into the caller's
 /// workspace, returning the **column-major** `m x n` result
 /// (`c[col * m + row]`) borrowed from `ws`.
@@ -182,14 +150,14 @@ impl SharedWeights<'_> {
 /// heap allocations; see [`GemmWorkspace::stats`].
 pub fn gemm_parallel_cm<'w>(
     scheme: &Scheme,
-    weights: SharedWeights<'_>,
+    pa: &PackedA,
     b: &[i8],
     k: usize,
     n: usize,
     cfg: &ParallelConfig,
     ws: &'w mut GemmWorkspace,
 ) -> &'w [i32] {
-    gemm_parallel_cm_traced(scheme, weights, b, k, n, cfg, ws, &Tracer::null())
+    gemm_parallel_cm_traced(scheme, pa, b, k, n, cfg, ws, &Tracer::null())
 }
 
 /// [`gemm_parallel_cm`] with span recording: each scoped worker thread gets
@@ -200,7 +168,7 @@ pub fn gemm_parallel_cm<'w>(
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_parallel_cm_traced<'w>(
     scheme: &Scheme,
-    weights: SharedWeights<'_>,
+    pa: &PackedA,
     b: &[i8],
     k: usize,
     n: usize,
@@ -208,15 +176,11 @@ pub fn gemm_parallel_cm_traced<'w>(
     ws: &'w mut GemmWorkspace,
     tracer: &Tracer,
 ) -> &'w [i32] {
-    assert_eq!(weights.k(), k, "weights disagree on K");
+    assert_eq!(pa.k, k, "weights disagree on K");
     assert_eq!(b.len(), k * n, "B operand has wrong length");
-    if matches!(weights, SharedWeights::Narrow(_)) {
-        assert_eq!(scheme.kind(), SchemeKind::Smlal8, "narrow tile is SMLAL-only");
-    } else {
-        assert_ne!(scheme.kind(), SchemeKind::Ncnn16, "ncnn baseline is serial-only");
-    }
+    assert_ne!(scheme.kind(), SchemeKind::Ncnn16, "ncnn baseline is serial-only");
     let cfg = cfg.normalized();
-    let m = weights.m();
+    let m = pa.m;
     let spans = partition_columns(n, cfg.threads);
     // Empty spans (more threads than column tiles) own no work and get no
     // worker; the split_at_mut carving below still walks them so C slices
@@ -230,7 +194,7 @@ pub fn gemm_parallel_cm_traced<'w>(
             let track = worker_track(tracer, span);
             worker(
                 scheme,
-                weights,
+                pa,
                 b,
                 n,
                 span,
@@ -260,7 +224,7 @@ pub fn gemm_parallel_cm_traced<'w>(
                 let panel = &mut s_t[0].b_panel;
                 let track = worker_track(tracer, span);
                 scope.spawn(move || {
-                    worker(scheme, weights, b, n, span, &cfg, panel, c_t, tracer, track);
+                    worker(scheme, pa, b, n, span, &cfg, panel, c_t, tracer, track);
                 });
             }
         });
@@ -297,7 +261,7 @@ fn worker_track(tracer: &Tracer, span: &ColumnSpan) -> u32 {
 #[allow(clippy::too_many_arguments)]
 fn worker(
     scheme: &Scheme,
-    weights: SharedWeights<'_>,
+    pa: &PackedA,
     b: &[i8],
     n: usize,
     span: &ColumnSpan,
@@ -310,10 +274,9 @@ fn worker(
     let (col0, cols) = (span.col0, span.cols);
     let mut worker_span = tracer.span("gemm worker", track);
     worker_span.set_label(|| format!("cols [{col0}..{})", col0 + cols));
-    let m = weights.m();
-    let k = weights.k();
+    let (m, k) = (pa.m, pa.k);
     debug_assert_eq!(c.len(), cols * m);
-    let a_tiles = weights.tiles();
+    let a_tiles = pa.tiles();
     let run = proven_run(scheme);
     let local_tiles = cols.div_ceil(NB);
     let nc_tiles = cfg.nc / NB;
@@ -334,24 +297,14 @@ fn worker(
                 let panel_base = (jt - jt0) * klen * NB;
                 let b_run = &panel[panel_base..panel_base + klen * NB];
                 for ti in 0..a_tiles {
-                    match weights {
-                        SharedWeights::Wide(pa) => {
-                            let a_run = &pa.data[(ti * k + k0) * NA..][..klen * NA];
-                            let mut acc = [0i32; TILE_LEN];
-                            if scheme.kind() == SchemeKind::Mla {
-                                accumulate_mla(scheme, a_run, b_run, &mut acc);
-                            } else {
-                                accumulate_block::<NA, NB>(a_run, b_run, run, &mut acc);
-                            }
-                            add_scatter(c, &acc, m, cols, jt, ti, NA);
-                        }
-                        SharedWeights::Narrow(pa) => {
-                            let a_run = &pa.data[(ti * k + k0) * NA8..][..klen * NA8];
-                            let mut acc = [0i32; NARROW_TILE_LEN];
-                            accumulate_block::<NA8, { 2 * NB }>(a_run, b_run, run, &mut acc);
-                            add_scatter(c, &acc, m, cols, jt, ti, NA8);
-                        }
+                    let a_run = &pa.data[(ti * k + k0) * NA..][..klen * NA];
+                    let mut acc = [0i32; TILE_LEN];
+                    if scheme.kind() == SchemeKind::Mla {
+                        accumulate_mla(scheme, a_run, b_run, &mut acc);
+                    } else {
+                        accumulate_block(a_run, b_run, run, &mut acc);
                     }
+                    add_scatter(c, &acc, m, cols, jt, ti);
                 }
             }
             k0 += klen;
@@ -373,60 +326,40 @@ pub fn proven_run(scheme: &Scheme) -> usize {
     (i16::MAX as i32 / scheme.max_product()) as usize
 }
 
-/// i16 lanes the block kernel accumulates per output column: one K step of
-/// the 16-row layout, or two consecutive K steps of the 8-row one.
-const LANES: usize = 16;
-
-/// The proof-licensed block kernel: one `ROWS x NB` micro-tile over a whole
-/// K block, adding into the column-major `acc32` (`acc32[c * ROWS + r]`).
+/// The proof-licensed block kernel: one 16x4 micro-tile over a whole K
+/// block, adding into the column-major `acc32` (`acc32[c * NA + r]`).
 ///
-/// `a` is the contiguous packed-A run (`klen` steps of `ROWS` rows), `b` the
-/// matching panel run (`klen` steps of [`NB`] columns). A group of
-/// `LANES / ROWS` consecutive steps fills one 16-lane i16 vector per column,
-/// lane `l` holding row `l % ROWS` of step `l / ROWS`, so both layouts run
-/// the same 16-lane multiply-add. Each lane takes one product per group; after
-/// `run` groups (see [`proven_run`]) the lanes widen into i32. No lane sums
-/// more than `run` in-range products, so for in-range operands the result
-/// equals the lane-exact kernels and [`crate::gemm::reference_gemm`] bit for
-/// bit; only the drain cadence differs.
+/// `a` is the contiguous packed-A run (`klen` steps of [`NA`] rows), `b` the
+/// matching panel run (`klen` steps of [`NB`] columns). Each step adds one
+/// product to every i16 lane (one lane per row and column); after `run` steps
+/// (see [`proven_run`]) the lanes widen into i32. No lane sums more than
+/// `run` in-range products, so for in-range operands the result equals the
+/// lane-exact kernels and [`crate::gemm::reference_gemm`] bit for bit; only
+/// the drain cadence differs.
 ///
-/// Even at W8, where `run` is 2, it is no slower than the lane-emulating
+/// Even at W8, where `run` is 2, it is much faster than the lane-emulating
 /// loops it replaced (x86-64 Xeon, one thread): 3.5-7 ms against 20-30 ms on
-/// a 256x576x196 GEMM in the 16-row layout, and 12.6 against 12.3 ms of
-/// `gemm tile` per run of the W8 dense block in the 8-row one.
-fn accumulate_block<const ROWS: usize, const GROUP_B: usize>(
-    a: &[i8],
-    b: &[i8],
-    run: usize,
-    acc32: &mut [i32],
-) {
-    debug_assert_eq!(GROUP_B, LANES / ROWS * NB);
-    debug_assert_eq!(a.len() / ROWS, b.len() / NB);
-    debug_assert_eq!(acc32.len(), ROWS * NB);
-    let (a_groups, a_tail) = a.as_chunks::<LANES>();
-    let (b_groups, b_tail) = b.as_chunks::<GROUP_B>();
-    for (a_run, b_run) in a_groups.chunks(run).zip(b_groups.chunks(run)) {
-        let mut acc16 = [[0i16; LANES]; NB];
+/// a 256x576x196 GEMM.
+fn accumulate_block(a: &[i8], b: &[i8], run: usize, acc32: &mut [i32; TILE_LEN]) {
+    let (a_steps, a_tail) = a.as_chunks::<NA>();
+    let (b_steps, b_tail) = b.as_chunks::<NB>();
+    debug_assert!(a_tail.is_empty() && b_tail.is_empty());
+    debug_assert_eq!(a_steps.len(), b_steps.len());
+    for (a_run, b_run) in a_steps.chunks(run).zip(b_steps.chunks(run)) {
+        let mut acc16 = [[0i16; NA]; NB];
         for (av, bv) in a_run.iter().zip(b_run) {
             let a16 = av.map(i16::from);
-            for (c, col) in acc16.iter_mut().enumerate() {
-                let bc: [i16; LANES] = std::array::from_fn(|l| i16::from(bv[l / ROWS * NB + c]));
-                for ((acc, &x), &y) in col.iter_mut().zip(&a16).zip(&bc) {
+            for (col, &y) in acc16.iter_mut().zip(bv) {
+                let y = i16::from(y);
+                for (acc, &x) in col.iter_mut().zip(&a16) {
                     *acc = acc.wrapping_add(x * y);
                 }
             }
         }
-        for (c, col) in acc16.iter().enumerate() {
-            for (l, &p) in col.iter().enumerate() {
-                let w = &mut acc32[c * ROWS + l % ROWS];
+        for (out, col) in acc32.chunks_exact_mut(NA).zip(&acc16) {
+            for (w, &p) in out.iter_mut().zip(col) {
                 *w = w.wrapping_add(i32::from(p));
             }
-        }
-    }
-    // An odd step left over by the 8-row layout: one exact i32 product each.
-    for (c, &bc) in b_tail.iter().enumerate() {
-        for (w, &x) in acc32[c * ROWS..(c + 1) * ROWS].iter_mut().zip(a_tail) {
-            *w = w.wrapping_add(i32::from(x) * i32::from(bc));
         }
     }
 }
@@ -456,28 +389,14 @@ fn pack_b_panel(
     }
 }
 
-/// Adds a column-major micro-tile into the thread's column-major C slice.
-fn add_scatter(
-    c: &mut [i32],
-    tile: &[i32],
-    m: usize,
-    cols: usize,
-    jt: usize,
-    ti: usize,
-    rows: usize,
-) {
-    for cc in 0..NB {
-        let j = jt * NB + cc;
-        if j >= cols {
-            break;
-        }
-        let col = &mut c[j * m..];
-        for (r, &v) in tile[cc * rows..(cc + 1) * rows].iter().enumerate() {
-            let i = ti * rows + r;
-            if i >= m {
-                break;
-            }
-            col[i] = col[i].wrapping_add(v);
+/// Adds a column-major 16x4 micro-tile into the thread's column-major C
+/// slice, clipping the padded rows and columns.
+fn add_scatter(c: &mut [i32], tile: &[i32; TILE_LEN], m: usize, cols: usize, jt: usize, ti: usize) {
+    let rows = NA.min(m - ti * NA);
+    for (j, t) in (jt * NB..cols).zip(tile.chunks_exact(NA)) {
+        let col = &mut c[j * m + ti * NA..][..rows];
+        for (w, &v) in col.iter_mut().zip(t) {
+            *w = w.wrapping_add(v);
         }
     }
 }
@@ -499,7 +418,7 @@ pub fn gemm_parallel(
 ) -> GemmOutput {
     let pa = pack_a(a, m, k);
     let mut ws = GemmWorkspace::new();
-    let c_cm = gemm_parallel_cm(scheme, SharedWeights::Wide(&pa), b, k, n, cfg, &mut ws);
+    let c_cm = gemm_parallel_cm(scheme, &pa, b, k, n, cfg, &mut ws);
     let mut c = vec![0i32; m * n];
     for j in 0..n {
         for (i, row) in c.chunks_exact_mut(n).enumerate() {
@@ -514,7 +433,7 @@ mod tests {
     use super::*;
     use crate::gemm::{gemm, reference_gemm};
     use crate::micro::run_tile;
-    use crate::narrow::{gemm_narrow, pack_a_narrow, run_tile_narrow};
+    use crate::narrow::{gemm_narrow, pack_a_narrow, run_tile_narrow, NA8};
     use crate::pack::pack_b;
     use lowbit_tensor::BitWidth;
     use rand::rngs::StdRng;
@@ -553,20 +472,21 @@ mod tests {
         }
     }
 
+    /// A layer planned on the narrow 8x4 tile executes on the 16-row layout:
+    /// the result still equals the serial narrow kernel's.
     #[test]
-    fn narrow_parallel_matches_serial() {
+    fn sixteen_row_layout_matches_serial_narrow() {
         let bits = BitWidth::W8;
         let scheme = Scheme::for_bits(bits);
         let (m, k, n) = (13, 40, 9);
         let a = random_mat(m * k, bits, 7);
         let b = random_mat(k * n, bits, 8);
         let serial = gemm_narrow(&scheme, &a, &b, m, k, n);
-        let pa = pack_a_narrow(&a, m, k);
+        let pa = pack_a(&a, m, k);
         for threads in [1, 2, 3] {
             let cfg = ParallelConfig { threads, kc: 7, nc: 4 };
             let mut ws = GemmWorkspace::new();
-            let c_cm =
-                gemm_parallel_cm(&scheme, SharedWeights::Narrow(&pa), &b, k, n, &cfg, &mut ws);
+            let c_cm = gemm_parallel_cm(&scheme, &pa, &b, k, n, &cfg, &mut ws);
             assert_eq!(to_row_major(c_cm, m, n), serial.c, "x{threads}");
         }
     }
@@ -603,9 +523,10 @@ mod tests {
         c
     }
 
-    /// Checks `gemm_parallel_cm` on both layouts (narrow at the SMLAL
-    /// widths), one and four threads, default and one-block (`kc = K`)
-    /// blocking, against `reference_gemm` and the lane-exact tile oracles.
+    /// Checks `gemm_parallel_cm` at one and four threads, default and
+    /// one-block (`kc = K`) blocking, against `reference_gemm`, which the
+    /// lane-exact 16x4 tiles (and the modeled 8x4 tiles at the SMLAL widths)
+    /// must equal too.
     fn check_against_oracles(bits: BitWidth, a: &[i8], b: &[i8], m: usize, k: usize, n: usize) {
         let scheme = Scheme::for_bits(bits);
         let narrow = scheme.kind() == SchemeKind::Smlal8;
@@ -623,14 +544,8 @@ mod tests {
                 let cfg = ParallelConfig { threads, kc, nc: DEFAULT_NC };
                 let label = format!("{bits} K={k} x{threads} kc={kc}");
                 let mut ws = GemmWorkspace::new();
-                let weights = SharedWeights::Wide(&pa);
-                let got = gemm_parallel_cm(&scheme, weights, b, k, n, &cfg, &mut ws);
-                assert_eq!(to_row_major(got, m, n), want, "{label}: wide");
-                if narrow {
-                    let weights = SharedWeights::Narrow(&pan);
-                    let got = gemm_parallel_cm(&scheme, weights, b, k, n, &cfg, &mut ws);
-                    assert_eq!(to_row_major(got, m, n), want, "{label}: narrow");
-                }
+                let got = gemm_parallel_cm(&scheme, &pa, b, k, n, &cfg, &mut ws);
+                assert_eq!(to_row_major(got, m, n), want, "{label}");
             }
         }
     }
@@ -656,8 +571,9 @@ mod tests {
         }
     }
 
-    /// The kernel alone, tile by tile, against the lane-exact tiles at every
-    /// width, including W8 where it widens after every second step.
+    /// The kernel alone against the lane-exact 16x4 tile at every width,
+    /// including W8 where it widens after every second step, and at the
+    /// SMLAL widths against the two modeled 8x4 tiles that cover its rows.
     #[test]
     fn block_kernel_matches_lane_exact_tiles_at_every_run() {
         let (m, n) = (16, 4);
@@ -669,18 +585,18 @@ mod tests {
                 for (a, b) in [worst_case_operands(bits, m, k, n), random] {
                     let (pa, pb) = (pack_a(&a, m, k), pack_b(&b, k, n));
                     let mut wide = [0i32; TILE_LEN];
-                    accumulate_block::<NA, NB>(&pa.data, &pb.data, run, &mut wide);
+                    accumulate_block(&pa.data, &pb.data, run, &mut wide);
                     assert_eq!(wide.to_vec(), run_tile(&scheme, &pa, &pb, 0, 0), "{bits} K={k}");
                     if scheme.kind() != SchemeKind::Smlal8 {
                         continue;
                     }
                     let pan = pack_a_narrow(&a, m, k);
                     for ti in 0..2 {
-                        let mut acc = [0i32; NARROW_TILE_LEN];
-                        let a_run = &pan.data[ti * k * NA8..(ti + 1) * k * NA8];
-                        accumulate_block::<NA8, { 2 * NB }>(a_run, &pb.data, run, &mut acc);
                         let want = run_tile_narrow(&scheme, &pan, &pb, ti, 0);
-                        assert_eq!(acc.to_vec(), want, "{bits} K={k} narrow tile {ti}");
+                        for (c, col) in want.chunks_exact(NA8).enumerate() {
+                            let rows = &wide[c * NA + ti * NA8..][..NA8];
+                            assert_eq!(rows, col, "{bits} K={k} narrow tile {ti} col {c}");
+                        }
                     }
                 }
             }
@@ -711,7 +627,7 @@ mod tests {
         let mut ws = GemmWorkspace::new();
         let serial = gemm(&scheme, &a, &b, m, k, n);
         for call in 0..4 {
-            let c_cm = gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws);
+            let c_cm = gemm_parallel_cm(&scheme, &pa, &b, k, n, &cfg, &mut ws);
             assert_eq!(to_row_major(c_cm, m, n), serial.c, "call {call}");
         }
         let stats = ws.stats();
@@ -814,13 +730,13 @@ mod tests {
 
         let mut ws = GemmWorkspace::new();
         let plain =
-            gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws).to_vec();
+            gemm_parallel_cm(&scheme, &pa, &b, k, n, &cfg, &mut ws).to_vec();
 
         let (tracer, sink) = lowbit_trace::Tracer::recording();
         let mut ws2 = GemmWorkspace::new();
         let traced = gemm_parallel_cm_traced(
             &scheme,
-            SharedWeights::Wide(&pa),
+            &pa,
             &b,
             k,
             n,

@@ -15,8 +15,9 @@
 //! drift report against the golden files.
 //!
 //! `bench-diff` compares two benchmark JSON files leaf-by-leaf and exits
-//! nonzero when any tracked figure regressed past the tolerance — CI's
-//! first performance gate.
+//! nonzero when any gated figure regressed past the tolerance, went
+//! missing, or when either file has a leaf nobody classified — CI's first
+//! performance gate.
 
 use lowbit::prelude::*;
 use lowbit_metrics::drift::DriftBand;
@@ -257,7 +258,7 @@ fn bench_diff_cmd(argv: &[String]) -> Result<(), String> {
     };
     let old = load_leaves(old_path)?;
     let new = load_leaves(new_path)?;
-    let (compared, regressions) = diff_figures(&old, &new, tolerance);
+    let (compared, regressions) = diff_figures(&old, &new, tolerance)?;
     if compared == 0 {
         return Err("no comparable benchmark figures found in both files".to_string());
     }
@@ -276,49 +277,87 @@ fn bench_diff_cmd(argv: &[String]) -> Result<(), String> {
     }
 }
 
-enum Direction {
+/// How one benchmark leaf takes part in the gate.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Gate {
     HigherBetter,
     LowerBetter,
+    Informational,
 }
 
-/// Compares every tracked figure present in both leaf sets; returns the
-/// number compared and one line per regression past `tolerance`.
+/// Compares every gated figure of `old` with the same path in `new`;
+/// returns the number compared and one line per regression past
+/// `tolerance`. A leaf [`classify`] does not know, in either file, is an
+/// error, and so is a gated leaf missing from `new`: a renamed or new figure
+/// must be classified before it can pass the gate.
 fn diff_figures(
     old: &[(String, f64)],
     new: &[(String, f64)],
     tolerance: f64,
-) -> (usize, Vec<String>) {
+) -> Result<(usize, Vec<String>), String> {
+    let unknown: Vec<&str> = old
+        .iter()
+        .chain(new)
+        .filter(|(path, _)| classify(path).is_none())
+        .map(|(path, _)| path.as_str())
+        .collect();
+    if !unknown.is_empty() {
+        return Err(format!(
+            "unclassified benchmark leaves (gate them or list them as informational): {}",
+            unknown.join(", ")
+        ));
+    }
     let mut compared = 0usize;
     let mut regressions = Vec::new();
     for (path, old_v) in old {
-        let Some(direction) = direction_of(path) else { continue };
-        let Some(new_v) = new.iter().find(|(p, _)| p == path).map(|(_, v)| *v) else {
+        let gate = classify(path).expect("classified above");
+        if gate == Gate::Informational {
             continue;
+        }
+        let Some(new_v) = new.iter().find(|(p, _)| p == path).map(|(_, v)| *v) else {
+            return Err(format!("gated figure {path} is missing from the new file"));
         };
         compared += 1;
-        let regressed = match direction {
-            Direction::HigherBetter => new_v < old_v * (1.0 - tolerance),
-            Direction::LowerBetter => new_v > old_v * (1.0 + tolerance),
+        let regressed = match gate {
+            Gate::HigherBetter => new_v < old_v * (1.0 - tolerance),
+            _ => new_v > old_v * (1.0 + tolerance),
         };
         if regressed {
             let pct = (new_v / old_v - 1.0) * 100.0;
             regressions.push(format!("{path}: {old_v:.4} -> {new_v:.4} ({pct:+.1}%)"));
         }
     }
-    (compared, regressions)
+    Ok((compared, regressions))
 }
 
-/// Which figures gate the diff. Wall-clock fields (`wall_ms` etc.) are
-/// deliberately skipped — they are host-noisy; modeled and virtual-time
-/// figures are deterministic.
-fn direction_of(path: &str) -> Option<Direction> {
+/// How a benchmark leaf gates, by its name (the last path segment without
+/// array indices); `None` for a name nobody has classified.
+///
+/// Gated: modeled and virtual-time figures, which are deterministic.
+/// Informational: host wall-clock times (noisy), counts and sizes of the
+/// workload itself, and run configuration.
+fn classify(path: &str) -> Option<Gate> {
     let leaf = path.rsplit('.').next().unwrap_or(path);
     let leaf = leaf.split('[').next().unwrap_or(leaf);
     match leaf {
-        "throughput_rps" | "speedup" | "avg_speedup" | "amdahl_speedup" | "cache_hit_rate"
-        | "reduction_factor" => Some(Direction::HigherBetter),
-        "p50_ms" | "p95_ms" | "p99_ms" | "mean_ms" | "makespan_ms"
-        | "activation_high_water_bytes" => Some(Direction::LowerBetter),
+        "throughput_rps" | "avg_speedup" | "amdahl_speedup" | "makespan_speedup"
+        | "cache_hit_rate" | "reduction_factor" => Some(Gate::HigherBetter),
+        "p50_ms" | "p95_ms" | "p99_ms" | "mean_ms" | "arm_ms" | "gpu_ms" | "chosen_ms"
+        | "per_request_ms" | "predicted_total_millis" | "serial_makespan_ms"
+        | "parallel_makespan_ms" | "serial_fraction" | "activation_high_water_bytes"
+        | "serial_arena_bytes" | "parallel_arena_bytes" | "steady_alloc_events" => {
+            Some(Gate::LowerBetter)
+        }
+        // Host wall clock.
+        "wall_ms"
+        // Counts and sizes of the workload and of its outcome.
+        | "conv_layers" | "nodes" | "sum_of_value_bytes" | "interference_edges"
+        | "max_wave_width" | "waves" | "backends" | "batch_histogram" | "cache_hits"
+        | "cache_misses" | "completed" | "rejected"
+        // Run configuration and fixed criteria.
+        | "bits" | "threads" | "batch" | "open_loop_rate_rps" | "arm_threads"
+        | "batch_buckets" | "closed_loop_clients" | "overload_factor" | "queue_depth"
+        | "requests_per_run" | "seed" | "min_steady_cache_hit_rate" => Some(Gate::Informational),
         _ => None,
     }
 }
@@ -365,8 +404,8 @@ mod tests {
     #[test]
     fn self_comparison_is_clean() {
         let l = leaves(BENCH);
-        let (compared, regressions) = diff_figures(&l, &l, 0.10);
-        assert_eq!(compared, 3, "throughput + p99 + hit rate; wall_ms skipped");
+        let (compared, regressions) = diff_figures(&l, &l, 0.10).unwrap();
+        assert_eq!(compared, 3, "throughput + p99 + hit rate; wall_ms is informational");
         assert!(regressions.is_empty());
     }
 
@@ -374,7 +413,7 @@ mod tests {
     fn twenty_percent_throughput_regression_is_flagged_at_ten_percent_tolerance() {
         let old = leaves(BENCH);
         let new = leaves(&BENCH.replace("1000.0", "800.0"));
-        let (_, regressions) = diff_figures(&old, &new, 0.10);
+        let (_, regressions) = diff_figures(&old, &new, 0.10).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("throughput_rps"), "{}", regressions[0]);
     }
@@ -384,12 +423,53 @@ mod tests {
         let old = leaves(BENCH);
         // p99 doubling regresses; throughput doubling improves.
         let new = leaves(&BENCH.replace("5.0", "10.0").replace("1000.0", "2000.0"));
-        let (_, regressions) = diff_figures(&old, &new, 0.10);
+        let (_, regressions) = diff_figures(&old, &new, 0.10).unwrap();
         assert_eq!(regressions.len(), 1);
         assert!(regressions[0].contains("p99_ms"));
         // Wall-clock noise never gates.
         let noisy = leaves(&BENCH.replace("123.0", "999.0"));
-        let (_, r2) = diff_figures(&old, &noisy, 0.10);
+        let (_, r2) = diff_figures(&old, &noisy, 0.10).unwrap();
         assert!(r2.is_empty());
+    }
+
+    /// Every numeric leaf of the committed benchmark files is classified,
+    /// and each file passes against itself.
+    #[test]
+    fn committed_benchmark_files_classify_every_leaf() {
+        for text in [
+            include_str!("../../../../BENCH_graph.json"),
+            include_str!("../../../../BENCH_parallel.json"),
+            include_str!("../../../../BENCH_serving.json"),
+        ] {
+            let l = leaves(text);
+            let (compared, regressions) = diff_figures(&l, &l, 0.10).unwrap();
+            assert!(compared > 0 && regressions.is_empty());
+        }
+    }
+
+    const GRAPH: &str = r#"{"node_parallel":{"resnet50_projection_block":{
+        "parallel_makespan_ms":2.0,"serial_makespan_ms":3.0,"makespan_speedup":1.5,
+        "waves":3}}}"#;
+
+    #[test]
+    fn tripled_parallel_makespan_fails_the_gate() {
+        let old = leaves(GRAPH);
+        let new = leaves(&GRAPH.replace("makespan_ms\":2.0", "makespan_ms\":6.0"));
+        let (_, regressions) = diff_figures(&old, &new, 0.10).unwrap();
+        assert_eq!(regressions.len(), 1, "{regressions:?}");
+        let path = "node_parallel.resnet50_projection_block.parallel_makespan_ms";
+        assert!(regressions[0].starts_with(path), "{}", regressions[0]);
+    }
+
+    #[test]
+    fn renamed_leaf_fails_the_gate() {
+        let old = leaves(GRAPH);
+        let renamed = leaves(&GRAPH.replace("parallel_makespan_ms", "par_makespan_ms"));
+        let err = diff_figures(&old, &renamed, 0.10).unwrap_err();
+        assert!(err.contains("par_makespan_ms"), "{err}");
+        // Renamed to another known name: the gated figure goes missing.
+        let moved = leaves(&GRAPH.replace("\"parallel_makespan_ms\"", "\"mean_ms\""));
+        let err = diff_figures(&old, &moved, 0.10).unwrap_err();
+        assert!(err.contains("missing"), "{err}");
     }
 }

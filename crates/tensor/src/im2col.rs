@@ -41,6 +41,10 @@ pub fn im2col_nchw(input: &QTensor, shape: &ConvShape) -> Im2colMatrix {
 
 /// [`im2col_nchw`] into a caller-owned matrix, reusing its buffer.
 ///
+/// Each `(c, kr, kc, oy)` tap row is one run of an input row: a slice copy at
+/// stride 1, a strided gather otherwise. Padding taps keep the zeros the
+/// buffer was cleared to.
+///
 /// Steady-state expansion of a fixed layer set performs no heap allocation
 /// once `out.data`'s capacity has grown to the largest `k * n` seen.
 pub fn im2col_nchw_into(input: &QTensor, shape: &ConvShape, out: &mut Im2colMatrix) {
@@ -51,31 +55,42 @@ pub fn im2col_nchw_into(input: &QTensor, shape: &ConvShape, out: &mut Im2colMatr
         "input dims do not match conv shape"
     );
     let (oh, ow) = (shape.out_h(), shape.out_w());
+    let (h, w, stride, pad) = (shape.h, shape.w, shape.stride, shape.pad);
     let k = shape.gemm_k();
     let n = shape.gemm_n();
     out.k = k;
     out.n = n;
     out.data.clear();
     out.data.resize(k * n, 0);
-    let data = &mut out.data;
-    for b in 0..shape.batch {
-        for c in 0..shape.c_in {
-            for kr in 0..shape.kh {
-                for kc in 0..shape.kw {
-                    let row = (c * shape.kh + kr) * shape.kw + kc;
-                    for oy in 0..oh {
-                        let iy = (oy * shape.stride + kr) as isize - shape.pad as isize;
-                        if iy < 0 || iy >= shape.h as isize {
-                            continue; // whole output row taps padding for this (kr, iy)
-                        }
-                        for ox in 0..ow {
-                            let ix = (ox * shape.stride + kc) as isize - shape.pad as isize;
-                            if ix < 0 || ix >= shape.w as isize {
-                                continue;
-                            }
-                            let col = (b * oh + oy) * ow + ox;
-                            data[row * n + col] =
-                                input.get((b, c, iy as usize, ix as usize));
+    if h * w == 0 {
+        return; // every tap is padding
+    }
+    for (plane_idx, plane) in input.data().chunks_exact(h * w).enumerate() {
+        let (b, c) = (plane_idx / shape.c_in, plane_idx % shape.c_in);
+        for kr in 0..shape.kh {
+            for kc in 0..shape.kw {
+                let row = (c * shape.kh + kr) * shape.kw + kc;
+                let dst_rows = &mut out.data[row * n + b * oh * ow..][..oh * ow];
+                // Output columns whose tap `ox * stride + kc - pad` lands
+                // inside the input row.
+                let ox_lo = pad.saturating_sub(kc).div_ceil(stride).min(ow);
+                let ox_hi =
+                    if w + pad > kc { ((w + pad - kc - 1) / stride + 1).min(ow) } else { 0 };
+                if ox_lo >= ox_hi {
+                    continue;
+                }
+                let ix0 = ox_lo * stride + kc - pad;
+                for (oy, dst) in dst_rows.chunks_exact_mut(ow).enumerate() {
+                    let Some(iy) = (oy * stride + kr).checked_sub(pad).filter(|&iy| iy < h) else {
+                        continue; // the whole output row taps padding
+                    };
+                    let src = &plane[iy * w + ix0..(iy + 1) * w];
+                    let dst = &mut dst[ox_lo..ox_hi];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
                         }
                     }
                 }
@@ -164,6 +179,63 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The element-at-a-time expansion the row-run copy replaced.
+    fn per_element_im2col(input: &QTensor, shape: &ConvShape) -> Vec<i8> {
+        let (oh, ow) = (shape.out_h(), shape.out_w());
+        let n = shape.gemm_n();
+        let mut data = vec![0i8; shape.gemm_k() * n];
+        for b in 0..shape.batch {
+            for c in 0..shape.c_in {
+                for kr in 0..shape.kh {
+                    for kc in 0..shape.kw {
+                        let row = (c * shape.kh + kr) * shape.kw + kc;
+                        for oy in 0..oh {
+                            let iy = (oy * shape.stride + kr) as isize - shape.pad as isize;
+                            if iy < 0 || iy >= shape.h as isize {
+                                continue;
+                            }
+                            for ox in 0..ow {
+                                let ix = (ox * shape.stride + kc) as isize - shape.pad as isize;
+                                if ix < 0 || ix >= shape.w as isize {
+                                    continue;
+                                }
+                                let col = (b * oh + oy) * ow + ox;
+                                data[row * n + col] = input.get((b, c, iy as usize, ix as usize));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn row_runs_match_the_per_element_loop() {
+        let mut out = Im2colMatrix::default();
+        for batch in [1, 3] {
+            for stride in [1, 2] {
+                for pad in [0, 1, 2] {
+                    for (kh, kw) in [(1, 1), (3, 3), (1, 3), (3, 1), (2, 5), (5, 2)] {
+                        let base = ConvShape::new(batch, 3, 7, 6, 2, 1, stride, pad);
+                        let shape = ConvShape { kh, kw, ..base };
+                        let input = QTensor::random(
+                            (batch, shape.c_in, shape.h, shape.w),
+                            Layout::Nchw,
+                            BitWidth::W8,
+                            (batch * 100 + stride * 10 + pad + kh * 7 + kw) as u64,
+                        );
+                        im2col_nchw_into(&input, &shape, &mut out);
+                        let label = format!("b{batch} s{stride} p{pad} {kh}x{kw}");
+                        assert_eq!((out.k, out.n), (shape.gemm_k(), shape.gemm_n()), "{label}");
+                        assert_eq!(out.data, per_element_im2col(&input, &shape), "{label}");
+                        assert_eq!(out.data, reference_im2col(&input, &shape), "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

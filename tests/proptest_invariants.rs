@@ -230,7 +230,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         use lowbit::qgemm::parallel::gemm_parallel_cm;
-        use lowbit::qgemm::{GemmWorkspace, ParallelConfig, SharedWeights};
+        use lowbit::qgemm::{GemmWorkspace, ParallelConfig};
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let scheme = Scheme::for_bits(bits);
@@ -242,9 +242,7 @@ proptest! {
             let b: Vec<i8> =
                 (0..k * n).map(|_| rng.gen_range(bits.qmin()..=bits.qmax())).collect();
             let pa = pack_a(&a, m, k);
-            let c_cm =
-                gemm_parallel_cm(&scheme, SharedWeights::Wide(&pa), &b, k, n, &cfg, &mut ws)
-                    .to_vec();
+            let c_cm = gemm_parallel_cm(&scheme, &pa, &b, k, n, &cfg, &mut ws).to_vec();
             let want = gemm(&scheme, &a, &b, m, k, n).c;
             for j in 0..n {
                 for i in 0..m {

@@ -209,6 +209,29 @@ fn null_tracer_steady_state_allocates_nothing() {
     assert!(after_pack.hits > pack.hits, "cache should be serving hits");
 }
 
+/// Steady-state allocations of one `Executor::run` of the six-step W8
+/// DenseNet-121 dense block (12 convs, 6 concats), counted on the calling
+/// thread with one GEMM thread. The count depends on the block's structure,
+/// not its resolution, so the block runs at 7x7 here (14x14 in the
+/// benchmark). Lowering by slices brought it from 126 to 114; the bound
+/// keeps later changes from growing it back.
+#[test]
+fn w8_dense_block_steady_state_allocations_are_pinned() {
+    let def = lowbit::models::densenet121_dense_block_n(7, 6);
+    let net = Network::from_graph_defs(&def, BitWidth::W8, 7).unwrap();
+    let engine = ArmEngine::cortex_a53().with_threads(1);
+    let plan = Planner::for_arm(&engine).compile(&net).unwrap();
+    let (c, h, w) = def.input;
+    let data: Vec<f32> = (0..c * h * w).map(|i| (i % 23) as f32 / 11.5 - 1.0).collect();
+    let input = Tensor::from_vec((1, c, h, w), Layout::Nchw, data);
+    let exec = Executor::for_arm(&engine);
+    exec.run(&plan, &net, &input).unwrap(); // fills the prepack cache and arena
+    let before = allocations();
+    exec.run(&plan, &net, &input).unwrap();
+    let per_run = allocations() - before;
+    assert!(per_run <= 114, "{per_run} allocations per steady-state run");
+}
+
 /// PR 8 extension of the steady-state claim: per-worker metric shard
 /// recording — the serving hot path — performs zero heap allocations once
 /// the instruments are registered. Proven with a counting global allocator
